@@ -11,7 +11,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build vet test race race-churn crash crash-matrix fuzz bench bench-smoke bench-gate serve-smoke ingest-smoke replica-smoke experiments ci
+.PHONY: build vet test race race-churn race-bench crash crash-matrix fuzz bench bench-e2e bench-smoke bench-gate serve-smoke ingest-smoke replica-smoke experiments ci
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,12 @@ race:
 # race detector — the deletion path's locking is what they exercise.
 race-churn:
 	$(GO) test -race -run 'Churn|Delete' -timeout 10m ./internal/shard/ ./internal/intervals/
+
+# bench/ is a module of its own (replace ccidx => ../), invisible to the
+# root `go test ./...`; its tests include a smoke run of every benchmark
+# workload, background compaction included.
+race-bench:
+	cd bench && $(GO) test -race ./...
 
 # The fault-injection reopen suite at full size under the race detector:
 # crash after every k-th device write (device, manager, and sharded levels),
@@ -61,7 +67,7 @@ fuzz:
 
 # One iteration per benchmark keeps the full sweep cheap; the hot query
 # benchmarks additionally get a steady-state pass (200 iterations, warm
-# decode frames and pools) because their allocs/op at one cold iteration
+# control cache and pools) because their allocs/op at one cold iteration
 # is dominated by first-use warmup. The steady pass is emitted second so
 # its lines win in the JSON. bench-baseline-pr1.txt holds the pre-PR-2
 # numbers, produced the same way.
@@ -74,6 +80,12 @@ bench:
 		$(GO) run ./cmd/experiments -bench-json BENCH.json \
 			$(if $(BENCH_BASELINE),-bench-baseline $(BENCH_BASELINE))
 	@echo wrote BENCH.json
+
+# The repository benchmark (BENCHMARK.json): five workloads, seven
+# end-to-end metrics each, built from source and run from bench/. Pass
+# flags through ARGS, e.g. `make bench-e2e ARGS="--workload query-hot --trace 1"`.
+bench-e2e:
+	bash bench/run.sh $(ARGS)
 
 # Small-scale E20 + E21 + E22: drives the batched query path, the durable
 # (file-backed) serving path, and the HTTP auto-batching front-end end to
@@ -144,4 +156,4 @@ bench-gate:
 experiments:
 	$(GO) run ./cmd/experiments
 
-ci: vet build test race race-churn crash crash-matrix bench-smoke serve-smoke ingest-smoke replica-smoke
+ci: vet build test race race-churn race-bench crash crash-matrix bench-smoke serve-smoke ingest-smoke replica-smoke

@@ -216,6 +216,9 @@ func (im *IntervalManager) Rebuilds() int { return im.m.Rebuilds() }
 // pool).
 func (im *IntervalManager) PoolStats() (hits, misses int64) { return im.m.PoolStats() }
 
+// CtrlCacheStats returns the decoded-control-cache counters.
+func (im *IntervalManager) CtrlCacheStats() CtrlCacheStats { return im.m.CtrlCacheStats() }
+
 // IngestStats snapshots the log-structured ingest counters (zeros for
 // tree-mode managers).
 func (im *IntervalManager) IngestStats() IngestStats { return im.m.IngestStats() }
@@ -377,6 +380,9 @@ func (sm *ShardedIntervalManager) Stats() Stats { return sm.s.Stats() }
 // when pooling is disabled).
 func (sm *ShardedIntervalManager) PoolStats() (hits, misses int64) { return sm.s.PoolStats() }
 
+// CtrlCacheStats sums the decoded-control-cache counters across shards.
+func (sm *ShardedIntervalManager) CtrlCacheStats() CtrlCacheStats { return sm.s.CtrlCacheStats() }
+
 // Rebuilds sums the stabber global-rebuild counters across shards; the
 // serving metrics surface exposes it so rebuild storms can be correlated
 // with latency spikes.
@@ -535,7 +541,7 @@ func (mt *MetablockTree) DiagonalQuery(a int64, emit func(Point) bool) {
 func (mt *MetablockTree) Len() int { return mt.t.Len() }
 
 // Stats returns cumulative I/O counters.
-func (mt *MetablockTree) Stats() Stats { return mt.t.Pager().Stats() }
+func (mt *MetablockTree) Stats() Stats { return mt.t.Stats() }
 
 // Hierarchy is a static forest of classes.
 type Hierarchy = classindex.Hierarchy

@@ -52,7 +52,7 @@ func main() {
 		before := mgr.Stats()
 		cnt := int64(0)
 		mgr.Stab(q, func(geom.Interval) bool { cnt++; return true })
-		ios := mgr.Stats().Sub(before).IOs()
+		ios := mgr.Stats().Sub(before).ModelIOs()
 		total += ios
 		tout += cnt
 		if ios > worst {

@@ -29,7 +29,7 @@ func main() {
 		fmt.Printf("  job %d [%d, %d]\n", iv.ID, iv.Lo, iv.Hi)
 		return true
 	})
-	fmt.Printf("  (%d block I/Os)\n", im.Stats().Sub(before).IOs())
+	fmt.Printf("  (%d block I/Os)\n", im.Stats().Sub(before).ModelIOs())
 
 	// Which jobs overlap the window 10:00-11:00?
 	before = im.Stats()
@@ -38,11 +38,11 @@ func main() {
 		fmt.Printf("  job %d [%d, %d]\n", iv.ID, iv.Lo, iv.Hi)
 		return true
 	})
-	fmt.Printf("  (%d block I/Os)\n", im.Stats().Sub(before).IOs())
+	fmt.Printf("  (%d block I/Os)\n", im.Stats().Sub(before).ModelIOs())
 
 	// Inserts are cheap and amortized (Theorem 3.7).
 	before = im.Stats()
 	im.Insert(ccidx.Interval{Lo: 1115, Hi: 1145, ID: 6})
 	fmt.Printf("inserted job 6 with %d block I/Os; manager now holds %d intervals in %d blocks\n",
-		im.Stats().Sub(before).IOs(), im.Len(), im.SpaceBlocks())
+		im.Stats().Sub(before).ModelIOs(), im.Len(), im.SpaceBlocks())
 }

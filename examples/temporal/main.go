@@ -34,7 +34,7 @@ func main() {
 	before := im.Stats()
 	live := 0
 	im.Stab(asOf, func(ccidx.Interval) bool { live++; return true })
-	mIOs := im.Stats().Sub(before).IOs()
+	mIOs := im.Stats().Sub(before).ModelIOs()
 
 	bn := naive.Pager().Stats()
 	naive.Stab(asOf, func(geom.Interval) bool { return true })
@@ -49,7 +49,7 @@ func main() {
 	hits := 0
 	im.Intersect(win, func(ccidx.Interval) bool { hits++; return true })
 	fmt.Printf("audit window [%d, %d]: %d versions, %d I/Os\n",
-		win.Lo, win.Hi, hits, im.Stats().Sub(before).IOs())
+		win.Lo, win.Hi, hits, im.Stats().Sub(before).ModelIOs())
 
 	fmt.Printf("index space: %d blocks for %d intervals (O(n/B))\n", im.SpaceBlocks(), im.Len())
 }

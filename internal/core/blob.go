@@ -17,17 +17,21 @@ const blobHeader = 8 + 2
 // blobCapacity is the payload capacity of one blob page.
 func (t *Tree) blobCapacity() int { return t.cfg.PageSize() - blobHeader }
 
+// blobPages is the chain length of an n-byte blob (at least one page, even
+// for an empty blob).
+func (t *Tree) blobPages(n int) int {
+	if n == 0 {
+		return 1
+	}
+	return (n + t.blobCapacity() - 1) / t.blobCapacity()
+}
+
 // writeBlob stores data as a fresh page chain and returns the head id.
 func (t *Tree) writeBlob(data []byte) disk.BlockID {
 	capPerPage := t.blobCapacity()
 	// Build the chain back to front so each page knows its successor.
 	var next disk.BlockID = disk.NilBlock
-	// Number of pages (at least one, even for empty blobs).
-	pages := (len(data) + capPerPage - 1) / capPerPage
-	if pages == 0 {
-		pages = 1
-	}
-	for i := pages - 1; i >= 0; i-- {
+	for i := t.blobPages(len(data)) - 1; i >= 0; i-- {
 		lo := i * capPerPage
 		hi := lo + capPerPage
 		if hi > len(data) {
@@ -46,28 +50,24 @@ func (t *Tree) writeBlob(data []byte) disk.BlockID {
 	return next
 }
 
-// appendBlob reads a page chain through zero-copy views, appending the
-// payload to dst (reusing its capacity) and returning the result. Each
-// chain page costs one I/O, exactly as before.
-func (t *Tree) appendBlob(dst []byte, head disk.BlockID) []byte {
+// readBlob reads a page chain through zero-copy views into a fresh byte
+// slice. Each chain page costs one I/O.
+func (t *Tree) readBlob(head disk.BlockID) []byte {
+	var data []byte
 	for id := head; id != disk.NilBlock; {
 		view := disk.MustView(t.dev, id)
 		next := disk.BlockID(int64(le64(view)))
 		n := int(uint16(view[8]) | uint16(view[9])<<8)
-		dst = append(dst, view[blobHeader:blobHeader+n]...)
+		data = append(data, view[blobHeader:blobHeader+n]...)
 		t.dev.Release(id)
 		id = next
 	}
-	return dst
-}
-
-// readBlob reads a page chain back into a fresh byte slice.
-func (t *Tree) readBlob(head disk.BlockID) []byte {
-	return t.appendBlob(nil, head)
+	return data
 }
 
 // freeBlob releases a page chain.
 func (t *Tree) freeBlob(head disk.BlockID) {
+	t.dropCtrl(head)
 	for id := head; id != disk.NilBlock; {
 		view := disk.MustView(t.dev, id)
 		next := disk.BlockID(int64(le64(view)))
@@ -84,6 +84,7 @@ func (t *Tree) rewriteBlob(old disk.BlockID, data []byte) disk.BlockID {
 	if old == disk.NilBlock {
 		return t.writeBlob(data)
 	}
+	t.dropCtrl(old)
 	// Collect the existing chain ids.
 	var ids []disk.BlockID
 	for id := old; id != disk.NilBlock; {
@@ -94,10 +95,7 @@ func (t *Tree) rewriteBlob(old disk.BlockID, data []byte) disk.BlockID {
 		id = next
 	}
 	capPerPage := t.blobCapacity()
-	need := (len(data) + capPerPage - 1) / capPerPage
-	if need == 0 {
-		need = 1
-	}
+	need := t.blobPages(len(data))
 	for len(ids) < need {
 		ids = append(ids, t.dev.Alloc())
 	}

@@ -139,10 +139,10 @@ func TestCornerStructureQueryIOBound(t *testing.T) {
 		c := tr.buildCorner(rs)
 		for trial := 0; trial < 200; trial++ {
 			a := rng.Int63n(int64(3*k) + 2)
-			before := tr.Pager().Stats()
+			before := tr.Stats()
 			got := 0
 			tr.queryCorner(c, a, func(rec) bool { got++; return true })
-			ios := tr.Pager().Stats().Sub(before).IOs()
+			ios := tr.Stats().Sub(before).ModelIOs()
 			bound := 2*int64(got)/int64(b) + 5
 			if ios > bound {
 				t.Fatalf("B=%d a=%d t=%d: %d I/Os exceeds 2t/B+5 = %d", b, a, got, ios, bound)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"ccidx/internal/disk"
 	"ccidx/internal/geom"
 )
@@ -283,29 +286,117 @@ func (t *Tree) decodeCtrl(data []byte) *metaCtrl {
 }
 
 // loadCtrl reads and decodes a metablock's control blob into fresh
-// allocations; mutate paths use it because they keep several decoded ctrls
-// alive across arbitrary restructuring. Query paths use loadCtrlFrame.
+// allocations the caller owns; mutate paths use it because they edit the
+// decoded ctrl and keep several alive across arbitrary restructuring. Query
+// paths borrow the shared decoded copy from the control cache (ctrl).
 func (t *Tree) loadCtrl(id disk.BlockID) *metaCtrl {
 	return t.decodeCtrl(t.readBlob(id))
 }
 
-// --- reusable query-path decode frames --------------------------------------
+// --- decoded control cache --------------------------------------------------
 
-// ctrlFrame is a recyclable decode target for query-path metablock loads:
-// the blob scratch, the decoded control struct with all its nested slices,
-// and the per-node child-classification scratch live here, so a
-// steady-state query allocates nothing per metablock visited. Frames come
-// from the tree's sync.Pool (concurrent queries each get their own) and are
-// only valid between getFrame and putFrame.
+// ctrlEntry is one cached control block, immutable once published and
+// shared by concurrent queries. Queries never overlap a mutation, so an
+// entry is never invalidated while borrowed: no per-entry lock or refcount.
+type ctrlEntry struct {
+	m     metaCtrl
+	pages int64 // blob chain length: the reads a hit spares
+}
+
+// ctrlCache maps a control blob's head id to its decoded form. It is filled
+// lazily by the first query to miss (concurrent fillers race benignly: both
+// decode the same bytes, one copy wins) and invalidated by dropCtrl at the
+// only two places a blob changes, rewriteBlob and freeBlob. Its size is
+// bounded by the structure — one entry per metablock — not by a knob.
+type ctrlCache struct {
+	entries sync.Map // disk.BlockID -> *ctrlEntry
+	n       atomic.Int64
+	hits    atomic.Int64
+	misses  atomic.Int64
+	spared  atomic.Int64
+}
+
+// CtrlCacheStats is a snapshot of the decoded control cache: lookups that
+// hit and missed, and the entries it holds (one per metablock at most). The
+// pages the hits did not read are Stats().Spared.
+type CtrlCacheStats struct {
+	Hits, Misses, Entries int64
+}
+
+// Add returns s + o (aggregation over shards and runs).
+func (s CtrlCacheStats) Add(o CtrlCacheStats) CtrlCacheStats {
+	return CtrlCacheStats{s.Hits + o.Hits, s.Misses + o.Misses, s.Entries + o.Entries}
+}
+
+// CtrlCacheStats returns the control cache's counters.
+func (t *Tree) CtrlCacheStats() CtrlCacheStats {
+	c := &t.ctrls
+	return CtrlCacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: c.n.Load()}
+}
+
+// Stats returns the store's I/O counters with Spared filled in from the
+// control cache, so Stats().ModelIOs() is the paper-model cost: what the
+// same operations cost the store when every visit reads its blob.
+func (t *Tree) Stats() disk.Stats {
+	st := t.pager.Stats()
+	st.Spared = t.ctrls.spared.Load()
+	return st
+}
+
+// ResetStats zeroes the store's counters and the cache's (its entries stay).
+func (t *Tree) ResetStats() {
+	t.pager.ResetStats()
+	t.ctrls.hits.Store(0)
+	t.ctrls.misses.Store(0)
+	t.ctrls.spared.Store(0)
+}
+
+// ctrl returns the decoded control block of the metablock at id for a query
+// to borrow: read-only, valid until the next mutation. A hit costs no I/O
+// and is accounted as the entry's page count in the spared counter; a miss
+// reads and decodes the blob exactly as loadCtrl does and publishes it.
+func (t *Tree) ctrl(id disk.BlockID) *metaCtrl {
+	c := &t.ctrls
+	if v, ok := c.entries.Load(id); ok {
+		e := v.(*ctrlEntry)
+		c.hits.Add(1)
+		c.spared.Add(e.pages)
+		return &e.m
+	}
+	data := t.readBlob(id)
+	e := &ctrlEntry{m: *t.decodeCtrl(data), pages: int64(t.blobPages(len(data)))}
+	c.misses.Add(1)
+	if v, loaded := c.entries.LoadOrStore(id, e); loaded {
+		return &v.(*ctrlEntry).m
+	}
+	c.n.Add(1)
+	return &e.m
+}
+
+// dropCtrl invalidates the cached decode of the blob headed at id. Called
+// before the blob's pages change, so a fault mid-rewrite cannot leave a
+// stale entry behind; freeing also covers page-id reuse.
+func (t *Tree) dropCtrl(id disk.BlockID) {
+	if _, ok := t.ctrls.entries.LoadAndDelete(id); ok {
+		t.ctrls.n.Add(-1)
+	}
+}
+
+// DropCtrlCache empties the control cache (like a mutation, it must not
+// overlap queries). Correctness never needs it — dropCtrl covers every blob
+// change; E18 uses it to measure the uncached read path, tests to start cold.
+func (t *Tree) DropCtrlCache() {
+	t.ctrls.entries.Range(func(id, _ any) bool {
+		t.dropCtrl(id.(disk.BlockID))
+		return true
+	})
+}
+
+// ctrlFrame is the recyclable per-visit child-classification scratch of the
+// single-query path: alive across the recursion into children, hence one
+// frame per visited node rather than shared. Frames come from the tree's
+// sync.Pool (concurrent queries each get their own).
 type ctrlFrame struct {
-	m        metaCtrl
-	corner   cornerIdx
-	td       tdInfo
-	tdCorner cornerIdx
-	blob     []byte
-
-	// processChildren scratch (per visited node, alive across recursion
-	// into children, hence frame-resident rather than shared).
 	classes   []childClass
 	direct    []bool
 	tsCovered []bool
@@ -319,110 +410,6 @@ func (t *Tree) getFrame() *ctrlFrame {
 }
 
 func (t *Tree) putFrame(f *ctrlFrame) { t.frames.Put(f) }
-
-// loadCtrlFrame reads and decodes a metablock's control blob into f,
-// reusing every slice capacity the frame already owns. I/O cost is
-// identical to loadCtrl: one read per blob chain page.
-func (t *Tree) loadCtrlFrame(id disk.BlockID, f *ctrlFrame) *metaCtrl {
-	f.blob = t.appendBlob(f.blob[:0], id)
-	t.decodeCtrlInto(f.blob, f)
-	return &f.m
-}
-
-// chunksFor returns dst resized to n elements, reusing capacity.
-func chunksFor(dst []chunkRef, n int) []chunkRef {
-	if cap(dst) >= n {
-		return dst[:n]
-	}
-	return make([]chunkRef, n)
-}
-
-func decChunksInto(d *decoder, dst []chunkRef) []chunkRef {
-	n := int(d.u16())
-	dst = chunksFor(dst, n)
-	for i := range dst {
-		dst[i].id = disk.BlockID(d.i64())
-		dst[i].n = int(d.u16())
-		dst[i].minX = d.i64()
-		dst[i].maxX = d.i64()
-		dst[i].minY = d.i64()
-		dst[i].maxY = d.i64()
-	}
-	return dst
-}
-
-// decCornerInto decodes a present corner structure into c, reusing the
-// star entries' nested block slices where capacities allow.
-func decCornerInto(d *decoder, c *cornerIdx) {
-	c.vblocks = decChunksInto(d, c.vblocks)
-	ns := int(d.u16())
-	if cap(c.stars) >= ns {
-		c.stars = c.stars[:ns]
-	} else {
-		// Keep the existing entries (their blocks capacities survive) and
-		// extend; the fresh tail entries warm up over the first few queries.
-		c.stars = append(c.stars[:cap(c.stars)], make([]starEntry, ns-cap(c.stars))...)
-	}
-	for i := range c.stars {
-		c.stars[i].value = d.i64()
-		c.stars[i].count = int(d.u32())
-		c.stars[i].blocks = decChunksInto(d, c.stars[i].blocks)
-	}
-}
-
-// decodeCtrlInto is decodeCtrl decoding into a reusable frame.
-func (t *Tree) decodeCtrlInto(data []byte, f *ctrlFrame) {
-	d := &decoder{b: data}
-	m := &f.m
-	m.count = int(d.u32())
-	m.bb = decBBox(d)
-	m.vblocks = decChunksInto(d, m.vblocks)
-	m.hblocks = decChunksInto(d, m.hblocks)
-	if d.u8() == 1 {
-		decCornerInto(d, &f.corner)
-		m.corner = &f.corner
-	} else {
-		m.corner = nil
-	}
-
-	nc := int(d.u16())
-	if cap(m.children) >= nc {
-		m.children = m.children[:nc]
-	} else {
-		m.children = make([]childRef, nc)
-	}
-	for i := range m.children {
-		m.children[i].ctrl = disk.BlockID(d.i64())
-		m.children[i].xlo = d.i64()
-		m.children[i].xhi = d.i64()
-		m.children[i].bb = decBBox(d)
-		m.children[i].storedCount = int(d.u32())
-		m.children[i].subtreeCount = d.i64()
-	}
-
-	m.ts.blocks = decChunksInto(d, m.ts.blocks)
-	m.ts.count = int(d.u32())
-	m.ts.bottomY = d.i64()
-
-	m.upd.id = disk.BlockID(d.i64())
-	m.upd.count = int(d.u16())
-
-	if d.u8() == 1 {
-		f.td.entryBlocks = decChunksInto(d, f.td.entryBlocks)
-		f.td.count = int(d.u32())
-		if d.u8() == 1 {
-			decCornerInto(d, &f.tdCorner)
-			f.td.corner = &f.tdCorner
-		} else {
-			f.td.corner = nil
-		}
-		f.td.upd.id = disk.BlockID(d.i64())
-		f.td.upd.count = int(d.u16())
-		m.td = &f.td
-	} else {
-		m.td = nil
-	}
-}
 
 // storeCtrl writes m's control blob, preserving the head id; when id is
 // NilBlock a fresh blob is created and its head returned.

@@ -109,11 +109,11 @@ func TestDeleteGlobalRebuild(t *testing.T) {
 	spaceBefore := tr.Pager().Allocated()
 
 	queryIOs := func() int64 {
-		before := tr.Pager().Stats()
+		before := tr.Stats()
 		for i := 0; i < 20; i++ {
 			tr.DiagonalQuery(int64(i)*(1<<20)/20, func(geom.Point) bool { return true })
 		}
-		return tr.Pager().Stats().Sub(before).IOs()
+		return tr.Stats().Sub(before).ModelIOs()
 	}
 	iosBefore := queryIOs()
 
@@ -123,6 +123,9 @@ func TestDeleteGlobalRebuild(t *testing.T) {
 		if !tr.Delete(pts[i]) {
 			t.Fatalf("delete %d failed", i)
 		}
+		// A cached path before every delete: the rebuilds among them must
+		// leave no entry behind.
+		stabAndCheck(t, tr, pts[i].X, "after delete")
 	}
 	if tr.Rebuilds() == 0 {
 		t.Fatal("no global rebuild after deleting 80% of the points")
@@ -194,9 +197,7 @@ func TestDeleteInterleavedWithInserts(t *testing.T) {
 				delete(live, p)
 			}
 		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		stabAndCheck(t, tr, rng.Int63n(8000), "after op")
 	}
 	for _, a := range []int64{0, 1000, 2000, 3000, 5000} {
 		want := 0

@@ -34,9 +34,10 @@ import (
 // Enumeration stops early if emit returns false.
 // Cost: O(log_B n + t/B) I/Os (Theorem 3.2 / Lemma 3.5).
 //
-// The query path reads pages exclusively through zero-copy views and
-// decodes control blobs into recycled frames, so a steady-state query
-// performs only a handful of small allocations regardless of answer size.
+// The query path reads data pages exclusively through zero-copy views and
+// borrows control blocks already decoded from the control cache, so a
+// steady-state query performs only a handful of small allocations
+// regardless of answer size.
 func (t *Tree) DiagonalQuery(a int64, emit geom.Emit) {
 	st := &qstate{a: a, emit: emit}
 	if t.deadCount > 0 {
@@ -50,13 +51,11 @@ func (t *Tree) DiagonalQuery(a int64, emit geom.Emit) {
 		}
 		return true
 	}
-	f := t.getFrame()
-	m := t.loadCtrlFrame(t.root, f)
+	m := t.ctrl(t.root)
 	// The root's update block has no parent TD to report it.
 	if t.scanUpd(m.upd, st.offerRec) {
-		t.visitLoaded(f, st, true)
+		t.visitLoaded(m, st, true)
 	}
-	t.putFrame(f)
 }
 
 // Stab is DiagonalQuery under the interval reading: report every point
@@ -123,17 +122,13 @@ func (t *Tree) visit(id disk.BlockID, st *qstate, reportStored bool) {
 	if st.stopped {
 		return
 	}
-	f := t.getFrame()
-	t.loadCtrlFrame(id, f)
-	t.visitLoaded(f, st, reportStored)
-	t.putFrame(f)
+	t.visitLoaded(t.ctrl(id), st, reportStored)
 }
 
-func (t *Tree) visitLoaded(f *ctrlFrame, st *qstate, reportStored bool) {
+func (t *Tree) visitLoaded(m *metaCtrl, st *qstate, reportStored bool) {
 	if st.stopped {
 		return
 	}
-	m := &f.m
 	if reportStored {
 		t.reportStored(m, st)
 		if st.stopped {
@@ -143,7 +138,7 @@ func (t *Tree) visitLoaded(f *ctrlFrame, st *qstate, reportStored bool) {
 	if len(m.children) == 0 {
 		return
 	}
-	t.processChildren(f, st)
+	t.processChildren(m, st)
 }
 
 // reportStored emits m's stored points that lie inside the query, choosing
@@ -251,19 +246,14 @@ func boolsFor(dst []bool, n int) []bool {
 }
 
 // processChildren implements the per-level sibling handling of Theorem 3.2
-// plus the TD consultation of Lemma 3.5. The caller's frame f (holding the
-// decoded ctrl of the node being processed) also carries the per-node
-// classification scratch, which stays valid across recursion into children
-// because each nested visit uses its own frame.
-func (t *Tree) processChildren(f *ctrlFrame, st *qstate) {
-	m := &f.m
+// plus the TD consultation of Lemma 3.5. The per-node classification
+// scratch lives in a frame of its own, which stays valid across recursion
+// into children because each nested visit takes another.
+func (t *Tree) processChildren(m *metaCtrl, st *qstate) {
+	f := t.getFrame()
+	defer t.putFrame(f)
 	a := st.a
-	f.classes = f.classes[:0]
-	if cap(f.classes) < len(m.children) {
-		f.classes = make([]childClass, len(m.children))
-	} else {
-		f.classes = f.classes[:len(m.children)]
-	}
+	f.classes = classesFor(f.classes, len(m.children))
 	classes := f.classes
 	rightmostIV := -1
 	for i, c := range m.children {
@@ -284,10 +274,7 @@ func (t *Tree) processChildren(f *ctrlFrame, st *qstate) {
 	tsCovered := f.tsCovered
 
 	if rightmostIV >= 0 && !t.cfg.DisableTS {
-		mr := m.children[rightmostIV]
-		mf := t.getFrame()
-		defer t.putFrame(mf)
-		mrCtrl := t.loadCtrlFrame(mr.ctrl, mf)
+		mrCtrl := t.ctrl(m.children[rightmostIV].ctrl)
 		// Report Mr itself directly (one partial block at most).
 		direct[rightmostIV] = true
 		t.reportStored(mrCtrl, st)
@@ -408,10 +395,7 @@ func (t *Tree) processFullChild(c childRef, cl childClass, direct []bool, idx in
 		t.visit(c.ctrl, st, true)
 	case classStraddle:
 		direct[idx] = true
-		cf := t.getFrame()
-		cm := t.loadCtrlFrame(c.ctrl, cf)
-		t.reportStored(cm, st)
-		t.putFrame(cf)
+		t.reportStored(t.ctrl(c.ctrl), st)
 		// Descendants of a straddling child lie below the query line.
 	case classSkip:
 		// Nothing: stored and descendants below the line or right of the

@@ -10,8 +10,8 @@ import (
 // the metablock tree in ONE shared traversal. The amortizations, layer by
 // layer:
 //
-//   - every metablock's control blob on the union of search paths is read
-//     and decoded once per batch (the batch is split across children and
+//   - every metablock's control block on the union of search paths is
+//     looked up once per batch (the batch is split across children and
 //     each child is visited once with its sub-batch);
 //   - every data page of a block organisation (vertical/horizontal
 //     blockings, TS prefixes, corner-structure blocks, update blocks) is
@@ -143,8 +143,7 @@ func (t *Tree) DiagonalQueryBatch(as []int64, emit EmitBatch) {
 	}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].st.a < reqs[j].st.a })
 
-	f := t.getFrame()
-	m := t.loadCtrlFrame(t.root, f)
+	m := t.ctrl(t.root)
 	// The root's update block has no parent TD to report it: one scan for
 	// the whole batch.
 	t.scanUpd(m.upd, func(r rec) bool {
@@ -153,14 +152,13 @@ func (t *Tree) DiagonalQueryBatch(as []int64, emit EmitBatch) {
 		}
 		return true
 	})
-	t.visitBatchLoaded(f, reqs)
-	t.putFrame(f)
+	t.visitBatchLoaded(m, reqs)
 }
 
 // visitBatchLoaded processes one loaded metablock for a batch of requests
 // (sorted ascending by query value): stored points for the requests that
 // still need them, then the children.
-func (t *Tree) visitBatchLoaded(f *ctrlFrame, reqs []visitReq) {
+func (t *Tree) visitBatchLoaded(m *metaCtrl, reqs []visitReq) {
 	sc := t.getScratch()
 	grp := sc.grpSts[:0]
 	for _, r := range reqs {
@@ -169,9 +167,9 @@ func (t *Tree) visitBatchLoaded(f *ctrlFrame, reqs []visitReq) {
 		}
 	}
 	sc.grpSts = grp
-	t.reportStoredBatch(&f.m, grp, sc)
-	if len(f.m.children) > 0 {
-		t.processChildrenBatch(f, reqs, sc)
+	t.reportStoredBatch(m, grp, sc)
+	if len(m.children) > 0 {
+		t.processChildrenBatch(m, reqs, sc)
 	}
 	t.putScratch(sc)
 }
@@ -416,8 +414,7 @@ func (t *Tree) cornerBatchGroup(c *cornerIdx, si int, grp []cornerQuery) {
 // direct flags) are exactly the sequential ones, but every child is loaded
 // once per batch with the union of its requests, TS prefixes and TD blocks
 // are scanned once per group, and the TD corner query is batched.
-func (t *Tree) processChildrenBatch(f *ctrlFrame, reqs []visitReq, sc *nodeScratch) {
-	m := &f.m
+func (t *Tree) processChildrenBatch(m *metaCtrl, reqs []visitReq, sc *nodeScratch) {
 	n := len(m.children)
 	k := len(reqs)
 	sc.classes = classesFor(sc.classes, k*n)
@@ -459,8 +456,7 @@ func (t *Tree) processChildrenBatch(f *ctrlFrame, reqs []visitReq, sc *nodeScrat
 		if len(members) == 0 {
 			continue
 		}
-		mf := t.getFrame()
-		mrCtrl := t.loadCtrlFrame(m.children[rv].ctrl, mf)
+		mrCtrl := t.ctrl(m.children[rv].ctrl)
 		grp := sc.grpSts[:0]
 		for _, qi := range members {
 			direct[qi*n+rv] = true
@@ -473,12 +469,10 @@ func (t *Tree) processChildrenBatch(f *ctrlFrame, reqs []visitReq, sc *nodeScrat
 		for i := 0; i < rv; i++ {
 			totalLeft += m.children[i].storedCount
 		}
-		// Capture the TS scalars: covers is also consulted after the anchor
-		// frame is returned to the pool.
-		tsCount, tsBottom := mrCtrl.ts.count, mrCtrl.ts.bottomY
+		ts := &mrCtrl.ts
 		covers := func(st *qstate) bool {
 			return totalLeft == 0 ||
-				(tsCount > 0 && (tsBottom < st.a || tsCount == totalLeft))
+				(ts.count > 0 && (ts.bottomY < st.a || ts.count == totalLeft))
 		}
 		covered := sc.covered[:0]
 		for _, qi := range members {
@@ -490,9 +484,8 @@ func (t *Tree) processChildrenBatch(f *ctrlFrame, reqs []visitReq, sc *nodeScrat
 		if len(covered) > 0 {
 			// One TS pass reports every left-sibling stored point inside the
 			// covered members' queries.
-			t.scanHBatch(mrCtrl.ts.blocks, covered)
+			t.scanHBatch(ts.blocks, covered)
 		}
-		t.putFrame(mf)
 
 		for _, qi := range members {
 			st := reqs[qi].st
@@ -585,8 +578,7 @@ func (t *Tree) processChildrenBatch(f *ctrlFrame, reqs []visitReq, sc *nodeScrat
 		}
 		sort.Slice(creqs, func(x, y int) bool { return creqs[x].qi < creqs[y].qi })
 		sort.Ints(rep)
-		cf := t.getFrame()
-		cm := t.loadCtrlFrame(m.children[i].ctrl, cf)
+		cm := t.ctrl(m.children[i].ctrl)
 		// Merge the stored-report audiences (report-only queries plus
 		// recursing queries that still need the stored points) in qi order.
 		grp := sc.grpSts[:0]
@@ -615,11 +607,10 @@ func (t *Tree) processChildrenBatch(f *ctrlFrame, reqs []visitReq, sc *nodeScrat
 			sc.vr[i] = vr
 			if len(vr) > 0 {
 				csc := t.getScratch()
-				t.processChildrenBatch(cf, vr, csc)
+				t.processChildrenBatch(cm, vr, csc)
 				t.putScratch(csc)
 			}
 		}
-		t.putFrame(cf)
 	}
 
 	// 6. TD consultation (Lemma 3.5), once per node for the whole batch:

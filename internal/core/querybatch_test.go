@@ -120,6 +120,12 @@ func TestDiagonalQueryBatchChurnOracle(t *testing.T) {
 			tr.Insert(p)
 			live = append(live, p)
 		}
+		// Keep the control cache populated through the batch path too, and
+		// coherent after every mutation.
+		tr.StabBatch(randomQueries(rng, 3, span), func(int, geom.Point) bool { return true })
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
 		if i%200 == 199 {
 			assertBatchOracle(t, tr, randomQueries(rng, 40, span+8), "churn")
 		}
@@ -167,25 +173,25 @@ func TestDiagonalQueryBatchSharesIOs(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	as := randomQueries(rng, 128, span)
 
-	before := tr.Pager().Stats()
+	before := tr.Stats()
 	for _, a := range as {
 		tr.DiagonalQuery(a, func(geom.Point) bool { return true })
 	}
-	seq := tr.Pager().Stats().Sub(before).IOs()
-	before = tr.Pager().Stats()
+	seq := tr.Stats().Sub(before).ModelIOs()
+	before = tr.Stats()
 	tr.DiagonalQueryBatch(as, func(int, geom.Point) bool { return true })
-	batch := tr.Pager().Stats().Sub(before).IOs()
+	batch := tr.Stats().Sub(before).ModelIOs()
 	if batch*2 > seq {
 		t.Fatalf("batched traversal shared too little: %d I/Os batched vs %d sequential", batch, seq)
 	}
 
 	for _, a := range as[:8] {
-		before = tr.Pager().Stats()
+		before = tr.Stats()
 		tr.DiagonalQuery(a, func(geom.Point) bool { return true })
-		one := tr.Pager().Stats().Sub(before).IOs()
-		before = tr.Pager().Stats()
+		one := tr.Stats().Sub(before).ModelIOs()
+		before = tr.Stats()
 		tr.DiagonalQueryBatch([]int64{a}, func(int, geom.Point) bool { return true })
-		b1 := tr.Pager().Stats().Sub(before).IOs()
+		b1 := tr.Stats().Sub(before).ModelIOs()
 		if b1 > one {
 			t.Fatalf("batch of one cost %d I/Os, sequential %d (a=%d)", b1, one, a)
 		}

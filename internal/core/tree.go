@@ -94,8 +94,9 @@ type Tree struct {
 	// wbuf is the reusable page-encode scratch for mutate paths (exclusive
 	// by the concurrency contract above; never touched by queries).
 	wbuf []byte
-	// frames recycles query-path control-block decode targets so steady-state
-	// queries allocate nothing per metablock visited.
+	// ctrls is the decoded control cache the query paths borrow from
+	// (ctrl.go); frames recycles their per-visit classification scratch.
+	ctrls  ctrlCache
 	frames sync.Pool
 	// bscratch recycles the per-node routing scratch of batched queries
 	// (querybatch.go), the batch counterpart of frames.

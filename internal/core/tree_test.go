@@ -188,10 +188,8 @@ func TestInsertIntoStaticTree(t *testing.T) {
 		p := geom.Point{X: x, Y: x + rng.Int63n(301-x), ID: uint64(10000 + i)}
 		tr.Insert(p)
 		pts = append(pts, p)
+		stabAndCheck(t, tr, x, "after insert")
 		if i%250 == 249 {
-			if err := tr.CheckInvariants(); err != nil {
-				t.Fatalf("after %d inserts: %v", i+1, err)
-			}
 			for k := 0; k < 40; k++ {
 				requireSame(t, tr, pts, rng.Int63n(304)-2, "insert-static")
 			}
@@ -285,6 +283,10 @@ func TestPropertyRandomInsertQueryAgainstOracle(t *testing.T) {
 			p := geom.Point{X: x, Y: x + rng.Int63n(61-x), ID: uint64(1000 + i)}
 			tr.Insert(p)
 			pts = append(pts, p)
+			tr.Stab(x, func(geom.Point) bool { return true })
+			if tr.CheckInvariants() != nil {
+				return false
+			}
 		}
 		for k := 0; k < 15; k++ {
 			a := rng.Int63n(64) - 2
@@ -332,10 +334,10 @@ func TestStaticQueryIOBound(t *testing.T) {
 	lb := logBn(n, b*b) // metablock tree height is log_{B}(n/B^2)-ish; use log_{B^2} n
 	for trial := 0; trial < trials; trial++ {
 		a := rng.Int63n(100004) - 2
-		before := tr.Pager().Stats()
+		before := tr.Stats()
 		tq := 0
 		tr.DiagonalQuery(a, func(geom.Point) bool { tq++; return true })
-		ios := tr.Pager().Stats().Sub(before).IOs()
+		ios := tr.Stats().Sub(before).ModelIOs()
 		bound := int64(40*lb) + 6*int64(tq)/int64(b) + 40
 		if ios > bound {
 			t.Fatalf("a=%d t=%d: %d I/Os exceeds bound %d", a, tq, ios, bound)
@@ -389,12 +391,12 @@ func TestInsertAmortizedIOBound(t *testing.T) {
 		base, extra = 6000, 1500
 	}
 	tr := New(Config{B: b}, genDiagonalPoints(rng, base, 1<<30))
-	before := tr.Pager().Stats()
+	before := tr.Stats()
 	for i := 0; i < extra; i++ {
 		x := rng.Int63n(1 << 30)
 		tr.Insert(geom.Point{X: x, Y: x + rng.Int63n(1<<30-x), ID: uint64(1 << 40)})
 	}
-	per := float64(tr.Pager().Stats().Sub(before).IOs()) / float64(extra)
+	per := float64(tr.Stats().Sub(before).ModelIOs()) / float64(extra)
 	lb := float64(logBn(tr.Len(), b))
 	bound := 60*lb + 20*lb*lb/float64(b) + 60
 	if per > bound {

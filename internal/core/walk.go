@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 
 	"ccidx/internal/disk"
 	"ccidx/internal/geom"
@@ -52,9 +53,15 @@ func (t *Tree) walk(id disk.BlockID, emit geom.Emit) bool {
 // describing the first violation found. Reads performed here are metered
 // like any others, so measuring callers should snapshot stats around it.
 func (t *Tree) CheckInvariants() error {
-	total, err := t.checkNode(t.root)
+	cached := 0
+	total, err := t.checkNode(t.root, &cached)
 	if err != nil {
 		return err
+	}
+	// Control-cache coherence, second half (checkNode did the first): no
+	// entry outlives its metablock, or a reused page id would resurrect it.
+	if n := t.ctrls.n.Load(); int64(cached) != n {
+		return fmt.Errorf("core: control cache holds %d entries, %d of them for live metablocks", n, cached)
 	}
 	// The physical structure holds the live points plus the tombstoned
 	// copies awaiting the next global rebuild.
@@ -69,10 +76,19 @@ func (t *Tree) CheckInvariants() error {
 }
 
 // checkNode validates the metablock at id and returns its subtree point
-// count.
-func (t *Tree) checkNode(id disk.BlockID) (int, error) {
+// count, adding the subtree's cached control blocks to *cached.
+func (t *Tree) checkNode(id disk.BlockID, cached *int) (int, error) {
 	m := t.loadCtrl(id)
 	cap2 := t.cap2()
+
+	// Control-cache coherence: a cached decode equals a fresh one.
+	if v, ok := t.ctrls.entries.Load(id); ok {
+		*cached++
+		e := v.(*ctrlEntry)
+		if !reflect.DeepEqual(&e.m, m) || e.pages != int64(t.blobPages(len(t.encodeCtrl(m)))) {
+			return 0, fmt.Errorf("core: node %d: cached control block is stale", id)
+		}
+	}
 
 	stored := t.readStoredPoints(m)
 	if len(stored) != m.count {
@@ -223,7 +239,7 @@ func (t *Tree) checkNode(id disk.BlockID) (int, error) {
 			}
 		}
 
-		sub, err := t.checkNode(c.ctrl)
+		sub, err := t.checkNode(c.ctrl, cached)
 		if err != nil {
 			return 0, err
 		}

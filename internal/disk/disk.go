@@ -34,10 +34,21 @@ type Stats struct {
 	Writes int64 // pages written
 	Allocs int64 // pages allocated
 	Frees  int64 // pages freed
+	// Spared counts page reads a decoded cache above the store made
+	// unnecessary (core's control cache). Stores always report 0; the
+	// structure owning the cache fills it in on the way up.
+	Spared int64
 }
 
-// IOs returns the total number of I/O operations (reads + writes).
+// IOs returns the number of I/O operations that reached the store
+// (reads + writes).
 func (s Stats) IOs() int64 { return s.Reads + s.Writes }
+
+// ModelIOs returns the I/O count of the paper's cost model, in which every
+// page a traversal consults costs one I/O whether or not a cache held it
+// decoded: IOs plus the spared reads. On an unpooled store it is exactly
+// what IOs would report with no cache above it.
+func (s Stats) ModelIOs() int64 { return s.IOs() + s.Spared }
 
 // Sub returns the counter difference s - t, useful for measuring one
 // operation: take a snapshot before, subtract after.
@@ -47,6 +58,7 @@ func (s Stats) Sub(t Stats) Stats {
 		Writes: s.Writes - t.Writes,
 		Allocs: s.Allocs - t.Allocs,
 		Frees:  s.Frees - t.Frees,
+		Spared: s.Spared - t.Spared,
 	}
 }
 
@@ -57,11 +69,12 @@ func (s Stats) Add(t Stats) Stats {
 		Writes: s.Writes + t.Writes,
 		Allocs: s.Allocs + t.Allocs,
 		Frees:  s.Frees + t.Frees,
+		Spared: s.Spared + t.Spared,
 	}
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("reads=%d writes=%d allocs=%d frees=%d", s.Reads, s.Writes, s.Allocs, s.Frees)
+	return fmt.Sprintf("reads=%d writes=%d allocs=%d frees=%d spared=%d", s.Reads, s.Writes, s.Allocs, s.Frees, s.Spared)
 }
 
 // Common pager errors.

@@ -187,8 +187,14 @@ func TestResetStats(t *testing.T) {
 }
 
 func TestStatsString(t *testing.T) {
-	s := Stats{Reads: 1, Writes: 2, Allocs: 3, Frees: 4}
-	if s.String() != "reads=1 writes=2 allocs=3 frees=4" {
+	s := Stats{Reads: 1, Writes: 2, Allocs: 3, Frees: 4, Spared: 5}
+	if s.String() != "reads=1 writes=2 allocs=3 frees=4 spared=5" {
 		t.Fatalf("String = %q", s.String())
+	}
+	if s.IOs() != 3 || s.ModelIOs() != 8 {
+		t.Fatalf("IOs = %d, ModelIOs = %d, want 3 and 8", s.IOs(), s.ModelIOs())
+	}
+	if d := s.Add(s).Sub(s); d != s {
+		t.Fatalf("Add/Sub round trip = %+v", d)
 	}
 }

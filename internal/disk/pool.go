@@ -2,9 +2,8 @@ package disk
 
 // Pool is a concurrent buffer pool layered over a Pager: a fixed budget of
 // memory-resident page frames with CLOCK (second-chance) replacement,
-// pin/unpin reference counting, and write-back of dirty frames. It replaces
-// the single-threaded LRU Cache as the layer the sharded serving stack
-// reads through.
+// pin/unpin reference counting, and write-back of dirty frames: the layer
+// the sharded serving stack reads through.
 //
 // Sharding. Frames are partitioned into nShards independent shards by a
 // mix of the block id, each with its own mutex, frame table and clock hand.

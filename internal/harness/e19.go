@@ -44,21 +44,21 @@ func runE19(w io.Writer) {
 			switch op.Kind {
 			case workload.ChurnInsert:
 				mgr.Insert(op.Iv)
-				insIOs += mgr.Stats().Sub(before).IOs()
+				insIOs += mgr.Stats().Sub(before).ModelIOs()
 				insN++
 			case workload.ChurnDelete:
 				if !mgr.Delete(op.ID) {
 					panic("E19: churn stream deleted an absent id")
 				}
-				delIOs += mgr.Stats().Sub(before).IOs()
+				delIOs += mgr.Stats().Sub(before).ModelIOs()
 				delN++
 			case workload.ChurnStab:
 				mgr.Stab(op.Q, func(geom.Interval) bool { return true })
-				qryIOs += mgr.Stats().Sub(before).IOs()
+				qryIOs += mgr.Stats().Sub(before).ModelIOs()
 				qryN++
 			case workload.ChurnIntersect:
 				mgr.Intersect(op.QIv, func(geom.Interval) bool { return true })
-				qryIOs += mgr.Stats().Sub(before).IOs()
+				qryIOs += mgr.Stats().Sub(before).ModelIOs()
 				qryN++
 			}
 		}

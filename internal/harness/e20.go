@@ -84,7 +84,7 @@ func runE20(w io.Writer) {
 		}
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&ms1)
-		ios := s.Stats().Sub(before).IOs()
+		ios := s.Stats().Sub(before).ModelIOs()
 		fq := float64(nq)
 		iosPer = float64(ios) / fq
 		allocsPer = float64(ms1.Mallocs-ms0.Mallocs) / fq

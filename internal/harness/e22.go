@@ -95,7 +95,7 @@ func runE22(w io.Writer) {
 	for _, on := range []bool{false, true} {
 		for clients := 1; clients <= maxClients; clients *= 4 {
 			srv, base, stop := startServer(im, !on)
-			before := im.Stats().IOs()
+			before := im.Stats().ModelIOs()
 			total := clients * perClient
 			lats := make([]time.Duration, total)
 			var next atomic.Int64
@@ -122,7 +122,7 @@ func runE22(w io.Writer) {
 			}
 			wg.Wait()
 			elapsed := time.Since(start)
-			ios := float64(im.Stats().IOs()-before) / float64(total)
+			ios := float64(im.Stats().ModelIOs()-before) / float64(total)
 			sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
 			mode := "off"
 			if on {

@@ -133,7 +133,7 @@ func runE25(w io.Writer) {
 				mismatched++
 			}
 		}
-		stabIOs := float64(m.Stats().Sub(st0).IOs()) / float64(len(queries))
+		stabIOs := float64(m.Stats().Sub(st0).ModelIOs()) / float64(len(queries))
 
 		ing := m.IngestStats()
 		fg := float64(fgIOs) / float64(inserts)

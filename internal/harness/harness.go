@@ -54,7 +54,7 @@ func All() []Experiment {
 		{"E15", "Class indexing strategy matrix", runE15},
 		{"E16", "Shard scaling: query throughput vs shard count", runE16},
 		{"E17", "Batched insert amortization (group commit)", runE17},
-		{"E18", "Read-path ablation: copy vs zero-copy view vs buffer pool", runE18},
+		{"E18", "Read-path ablation: copy vs zero-copy view vs buffer pool vs decoded control cache", runE18},
 		{"E19", "Churn: weak deletes + global rebuilding", runE19},
 		{"E20", "Batched query execution: shared-traversal reads", runE20},
 		{"E21", "Durable storage: cold-open I/O, durable vs simulated throughput", runE21},
@@ -101,9 +101,9 @@ func runE1(w io.Writer) {
 		queries := 64
 		for i := 0; i < queries; i++ {
 			a := int64(i) * int64(4*n) / int64(queries)
-			before := tr.Pager().Stats()
+			before := tr.Stats()
 			tr.DiagonalQuery(a, func(geom.Point) bool { tt++; return true })
-			ios += tr.Pager().Stats().Sub(before).IOs()
+			ios += tr.Stats().Sub(before).ModelIOs()
 		}
 		unit := logB(n, b) + float64(tt)/float64(queries)/float64(b)
 		fmt.Fprintf(w, "%8d %10.1f %10.1f %12.1f %14.2f\n",
@@ -130,10 +130,10 @@ func runE2(w io.Writer) {
 		worstIOs := int64(0)
 		for q := 0; q < 200; q++ {
 			a := int64(q) * int64(6*k) / 200
-			before := tr2.Pager().Stats()
+			before := tr2.Stats()
 			t := 0
 			tr2.DiagonalQuery(a, func(geom.Point) bool { t++; return true })
-			ios := tr2.Pager().Stats().Sub(before).IOs()
+			ios := tr2.Stats().Sub(before).ModelIOs()
 			bound := 2*float64(t)/float64(b) + 12
 			if r := float64(ios) / bound; r > maxRatio {
 				maxRatio = r
@@ -154,12 +154,12 @@ func runE3(w io.Writer) {
 	fmt.Fprintf(w, "%8s %12s %18s %10s\n", "n", "I/O per ins", "logB+logB^2/B", "ratio")
 	for _, n := range []int{4000, 16000, 64000, 128000} {
 		tr := core.New(core.Config{B: b}, workload.DiagonalPoints(3, 3*n/4, 1<<30))
-		before := tr.Pager().Stats()
+		before := tr.Stats()
 		extra := workload.DiagonalPoints(4, n/4, 1<<30)
 		for _, p := range extra {
 			tr.Insert(p)
 		}
-		per := float64(tr.Pager().Stats().Sub(before).IOs()) / float64(len(extra))
+		per := float64(tr.Stats().Sub(before).ModelIOs()) / float64(len(extra))
 		lb := logB(n, b)
 		unit := lb + lb*lb/float64(b)
 		fmt.Fprintf(w, "%8d %12.1f %18.1f %10.2f\n", n, per, unit, per/unit)
@@ -180,13 +180,13 @@ func runE4(w io.Writer) {
 		samples := 200
 		for i := 0; i < samples; i++ {
 			q := qs[i*len(qs)/samples]
-			before := tr.Pager().Stats()
+			before := tr.Stats()
 			cnt := 0
 			tr.DiagonalQuery(q, func(geom.Point) bool { cnt++; return true })
 			if cnt != 1 {
 				fmt.Fprintf(w, "!! query %d returned %d points, want 1\n", q, cnt)
 			}
-			ios += tr.Pager().Stats().Sub(before).IOs()
+			ios += tr.Stats().Sub(before).ModelIOs()
 		}
 		fmt.Fprintf(w, "%8d %10.1f %12.1f %10.2f\n",
 			n, float64(ios)/float64(samples), logB(n, b), float64(ios)/float64(samples)/logB(n, b))
@@ -212,10 +212,10 @@ func runE5(w io.Writer) {
 		q := int64(i) * (1 << 30) / 100
 		before := mgr.Stats()
 		mgr.Stab(q, func(geom.Interval) bool { tt++; return true })
-		mIOs += mgr.Stats().Sub(before).IOs()
+		mIOs += mgr.Stats().Sub(before).ModelIOs()
 		bn := nv.Pager().Stats()
 		nv.Stab(q, func(geom.Interval) bool { return true })
-		nIOs += nv.Pager().Stats().Sub(bn).IOs()
+		nIOs += nv.Pager().Stats().Sub(bn).ModelIOs()
 	}
 	fmt.Fprintf(w, "%-22s %12s %12s\n", "structure", "avg I/O", "space(blk)")
 	fmt.Fprintf(w, "%-22s %12.1f %12d\n", "interval manager", float64(mIOs)/100, mgr.SpaceBlocks())
@@ -246,7 +246,7 @@ func runE6(w io.Writer) {
 			a2 := a1 + (1<<20)/20
 			before := idx.Stats()
 			idx.Query(cls, a1, a2, func(int64, uint64) bool { tt++; return true })
-			ios += idx.Stats().Sub(before).IOs()
+			ios += idx.Stats().Sub(before).ModelIOs()
 		}
 		unit := log2(c)*logB(n, b) + float64(tt)/100/float64(b)
 		fmt.Fprintf(w, "%6d %12.1f %14.1f %10.2f %12d\n",
@@ -269,7 +269,7 @@ func runE7(w io.Writer) {
 			q := geom.ThreeSidedQuery{X1: x1, X2: x1 + (1<<20)/50, Y: int64(i%100) * (1 << 20) / 100}
 			before := tree.Pager().Stats()
 			tree.Query(q, func(geom.Point) bool { tt++; return true })
-			ios += tree.Pager().Stats().Sub(before).IOs()
+			ios += tree.Pager().Stats().Sub(before).ModelIOs()
 		}
 		unit := log2(n) + float64(tt)/100/float64(b)
 		fmt.Fprintf(w, "%8d %10.1f %14.1f %10.2f\n", n, float64(ios)/100, unit, float64(ios)/100/unit)
@@ -291,7 +291,7 @@ func runE8(w io.Writer) {
 			q := geom.ThreeSidedQuery{X1: x1, X2: x1 + (1<<20)/50, Y: int64(i%100) * (1 << 20) / 100}
 			before := tree.Pager().Stats()
 			tree.Query(q, func(geom.Point) bool { tt++; return true })
-			ios += tree.Pager().Stats().Sub(before).IOs()
+			ios += tree.Pager().Stats().Sub(before).ModelIOs()
 		}
 		unit := logB(n, b) + log2(b) + float64(tt)/100/float64(b)
 		fmt.Fprintf(w, "%8d %10.1f %20.1f %10.2f\n", n, float64(ios)/100, unit, float64(ios)/100/unit)
@@ -322,10 +322,10 @@ func runE9(w io.Writer) {
 			a2 := a1 + (1<<20)/20
 			before := rc.Stats()
 			rc.Query(cls, a1, a2, func(int64, uint64) bool { return true })
-			rcIOs += rc.Stats().Sub(before).IOs()
+			rcIOs += rc.Stats().Sub(before).ModelIOs()
 			before = si.Stats()
 			si.Query(cls, a1, a2, func(int64, uint64) bool { return true })
-			siIOs += si.Stats().Sub(before).IOs()
+			siIOs += si.Stats().Sub(before).ModelIOs()
 		}
 		fmt.Fprintf(w, "%6d %14.1f %14.1f %14d %14d\n",
 			c, float64(rcIOs)/100, float64(siIOs)/100, rc.SpaceBlocks(), si.SpaceBlocks())
@@ -417,7 +417,7 @@ func rectRelationIOs(rects []geom.Rect) rectResult {
 			}
 		}
 	}
-	res.ios = idx.Stats().Sub(before).IOs()
+	res.ios = idx.Stats().Sub(before).ModelIOs()
 	return res
 }
 
@@ -457,12 +457,12 @@ func runE13(w io.Writer) {
 	var fullIOs, noIOs int64
 	for i := 0; i < 100; i++ {
 		a := int64(i)*16*int64(n)/100 + 3
-		before := full.Pager().Stats()
+		before := full.Stats()
 		full.DiagonalQuery(a, func(geom.Point) bool { return true })
-		fullIOs += full.Pager().Stats().Sub(before).IOs()
-		before = noTS.Pager().Stats()
+		fullIOs += full.Stats().Sub(before).ModelIOs()
+		before = noTS.Stats()
 		noTS.DiagonalQuery(a, func(geom.Point) bool { return true })
-		noIOs += noTS.Pager().Stats().Sub(before).IOs()
+		noIOs += noTS.Stats().Sub(before).ModelIOs()
 	}
 	fmt.Fprintf(w, "with TS structures:    %8.1f I/O per query\n", float64(fullIOs)/100)
 	fmt.Fprintf(w, "without TS structures: %8.1f I/O per query\n", float64(noIOs)/100)
@@ -495,12 +495,12 @@ func runE14(w io.Writer) {
 	var fullIOs, noIOs int64
 	for i := 0; i < 100; i++ {
 		a := int64(i)*4*int64(n)/100 + 1
-		before := full.Pager().Stats()
+		before := full.Stats()
 		full.DiagonalQuery(a, func(geom.Point) bool { return true })
-		fullIOs += full.Pager().Stats().Sub(before).IOs()
-		before = noCorner.Pager().Stats()
+		fullIOs += full.Stats().Sub(before).ModelIOs()
+		before = noCorner.Stats()
 		noCorner.DiagonalQuery(a, func(geom.Point) bool { return true })
-		noIOs += noCorner.Pager().Stats().Sub(before).IOs()
+		noIOs += noCorner.Stats().Sub(before).ModelIOs()
 	}
 	fmt.Fprintf(w, "with corner structures:    %8.1f I/O per query\n", float64(fullIOs)/100)
 	fmt.Fprintf(w, "without corner structures: %8.1f I/O per query\n", float64(noIOs)/100)
@@ -543,7 +543,7 @@ func runE15(w io.Writer) {
 		for _, o := range objs {
 			s.idx.Insert(o)
 		}
-		insIOs = append(insIOs, float64(s.stats().Sub(before).IOs())/float64(len(objs)))
+		insIOs = append(insIOs, float64(s.stats().Sub(before).ModelIOs())/float64(len(objs)))
 	}
 	fmt.Fprintf(w, "n=%d, c=%d, B=%d; 100 full-extent range queries.\n", n, c, b)
 	fmt.Fprintf(w, "%-22s %12s %12s %12s\n", "strategy", "qry I/O", "ins I/O", "space(blk)")
@@ -555,7 +555,7 @@ func runE15(w io.Writer) {
 			a2 := a1 + (1<<20)/20
 			before := s.stats()
 			s.idx.Query(cls, a1, a2, func(int64, uint64) bool { return true })
-			ios += s.stats().Sub(before).IOs()
+			ios += s.stats().Sub(before).ModelIOs()
 		}
 		fmt.Fprintf(w, "%-22s %12.1f %12.1f %12d\n", s.name, float64(ios)/100, insIOs[si2], s.space())
 	}

@@ -139,10 +139,10 @@ func TestManagerStabBatchSharesIOs(t *testing.T) {
 	for _, q := range qs {
 		m.Stab(q, func(geom.Interval) bool { return true })
 	}
-	seq := m.Stats().Sub(before).IOs()
+	seq := m.Stats().Sub(before).ModelIOs()
 	before = m.Stats()
 	m.StabBatch(qs, func(int, geom.Interval) bool { return true })
-	batch := m.Stats().Sub(before).IOs()
+	batch := m.Stats().Sub(before).ModelIOs()
 	if batch*2 > seq {
 		t.Fatalf("batched stab shared too little: %d I/Os batched vs %d sequential", batch, seq)
 	}

@@ -46,6 +46,11 @@ func TestChurnOracleAgainstNaive(t *testing.T) {
 		if m.Len() != nv.Len() {
 			t.Fatalf("op %d: Len drift: manager %d naive %d", i, m.Len(), nv.Len())
 		}
+		// The stream's own queries keep the control cache populated; it
+		// must stay coherent across every mutation and rebuild.
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
 	}
 	if m.Delete(1 << 62) {
 		t.Fatal("delete of absent id succeeded")

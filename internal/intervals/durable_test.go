@@ -88,13 +88,15 @@ func TestDurableRoundTrip(t *testing.T) {
 
 			churn := workload.ChurnOps(11, workload.SeqIDs(n0), uint64(n0), ops, span, 200)
 			apply := func(m *Manager) {
-				for _, op := range churn {
+				for i, op := range churn {
 					switch op.Kind {
 					case workload.ChurnInsert:
 						m.Insert(op.Iv)
 					case workload.ChurnDelete:
 						m.Delete(op.ID)
 					}
+					// The control cache is warm at the checkpoint and close.
+					m.Stab(int64(i*37)%span, func(geom.Interval) bool { return true })
 				}
 			}
 			apply(durable)
@@ -134,6 +136,9 @@ func TestDurableRoundTrip(t *testing.T) {
 				}
 			}
 			compareManagers(t, oracle, reopened, span)
+			if err := reopened.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -269,6 +274,9 @@ func TestDurableCrashEveryWrite(t *testing.T) {
 					t.Fatalf("crash at write %d: Intersect(%v) diverged from acked oracle", k, q)
 				}
 			}
+			if err := reopened.CheckInvariants(); err != nil {
+				t.Fatalf("crash at write %d: %v", k, err)
+			}
 		})
 	}
 }
@@ -338,6 +346,8 @@ func runCrashWorkload(t *testing.T, dir string, k int64, out *crashOutcome) int6
 					delete(live, op.ID)
 				}
 			}
+			// Every fault lands on a tree whose control cache is populated.
+			m.Stab(int64(i*37)%span, func(geom.Interval) bool { return true })
 		}()
 		if crashed {
 			break

@@ -24,6 +24,7 @@
 package intervals
 
 import (
+	"fmt"
 	"strconv"
 
 	"ccidx/internal/bptree"
@@ -196,6 +197,33 @@ func (m *Manager) PoolStats() (hits, misses int64) {
 	return hits, misses
 }
 
+// CtrlCacheStats returns the stabbing tree's decoded-control-cache counters
+// (log-structured mode: summed over every run, runs merged away included).
+func (m *Manager) CtrlCacheStats() core.CtrlCacheStats {
+	if m.lsm != nil {
+		return m.lsmCtrlCacheStats()
+	}
+	return m.stabber.CtrlCacheStats()
+}
+
+// CheckInvariants validates the stabbing tree's structural invariants,
+// control-cache coherence included (log-structured mode: every run's tree).
+// It reads every page, under the same contract as a query.
+func (m *Manager) CheckInvariants() error {
+	if m.lsm == nil {
+		return m.stabber.CheckInvariants()
+	}
+	l := m.lsm
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, r := range l.runs {
+		if err := r.m.CheckInvariants(); err != nil {
+			return fmt.Errorf("run %q: %w", r.name, err)
+		}
+	}
+	return nil
+}
+
 // Insert adds an interval; amortized O(log_B n + (log_B n)^2/B) I/Os. On a
 // WAL-backed manager the mutation is logged (and, under FsyncAlways,
 // synced) before it touches the trees, so an acknowledged insert survives a
@@ -341,7 +369,7 @@ func (m *Manager) Stats() disk.Stats {
 	if m.lsm != nil {
 		return m.lsmStats()
 	}
-	return m.endpoints.Pager().Stats().Add(m.stabber.Pager().Stats())
+	return m.endpoints.Pager().Stats().Add(m.stabber.Stats())
 }
 
 // ResetStats zeroes both counters.
@@ -351,7 +379,7 @@ func (m *Manager) ResetStats() {
 		return
 	}
 	m.endpoints.Pager().ResetStats()
-	m.stabber.Pager().ResetStats()
+	m.stabber.ResetStats()
 }
 
 // SpaceBlocks returns the number of live pages across both sub-structures

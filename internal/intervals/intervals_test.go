@@ -175,7 +175,7 @@ func TestQueryIOBoundVsNaive(t *testing.T) {
 		q := rng.Int63n(1 << 30)
 		before := m.Stats()
 		m.Stab(q, func(geom.Interval) bool { return true })
-		mTot += m.Stats().Sub(before).IOs()
+		mTot += m.Stats().Sub(before).ModelIOs()
 		beforeN := nv.Pager().Stats()
 		nv.Stab(q, func(geom.Interval) bool { return true })
 		nvTot += nv.Pager().Stats().Sub(beforeN).IOs()
@@ -227,6 +227,10 @@ func TestManagerAgainstNaiveProperty(t *testing.T) {
 		for _, iv := range ivs[50:] {
 			m.Insert(iv)
 			nv.Insert(iv)
+			m.Stab(iv.Lo, func(geom.Interval) bool { return true })
+			if m.CheckInvariants() != nil {
+				return false
+			}
 		}
 		for k := 0; k < 20; k++ {
 			lo := rng.Int63n(84) - 2

@@ -55,6 +55,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ccidx/internal/core"
 	"ccidx/internal/disk"
 	"ccidx/internal/geom"
 )
@@ -105,14 +106,31 @@ func newMemPart() *memPart {
 }
 
 // lsmRun is one immutable on-disk run: a static tree-mode Manager plus the
-// in-memory set of its ids deleted since it was built.
+// in-memory set of its ids deleted since it was built. A foreground Delete
+// writes dead holding only l.mu.RLock, so the worker may touch the map only
+// under l.mu.Lock; the sizes it needs in between (merge picks, the
+// compaction trigger) come from deadN.
 type lsmRun struct {
-	m    *Manager
-	dead map[uint64]struct{}
-	name string // run subdirectory name (empty in memory)
+	m     *Manager
+	dead  map[uint64]struct{}
+	deadN atomic.Int64 // len(dead)
+	name  string       // run subdirectory name (empty in memory)
 }
 
-func (r *lsmRun) live() int { return r.m.Len() - len(r.dead) }
+// markDead records id as deleted from the run. Callers hold l.mu (a
+// foreground Delete: RLock; the worker: Lock).
+func (r *lsmRun) markDead(id uint64) {
+	r.dead[id] = struct{}{}
+	r.deadN.Add(1)
+}
+
+func (r *lsmRun) live() int { return r.m.Len() - int(r.deadN.Load()) }
+
+// compactDue reports whether dead ids make up half the run: the paper's
+// rebuild threshold.
+func (r *lsmRun) compactDue() bool {
+	return r.m.Len() > 0 && int(r.deadN.Load())*2 >= r.m.Len()
+}
 
 // lsmState is the whole log-structured mode, hung off Manager.lsm.
 type lsmState struct {
@@ -129,6 +147,8 @@ type lsmState struct {
 	// a checkpoint's prepare→commit/rollback span.
 	mergeMu  sync.Mutex
 	busy     atomic.Bool
+	worker   sync.WaitGroup        // the background goroutine lsmKick started
+	closed   atomic.Bool           // CloseFiles ran: no work item may start
 	workErr  atomic.Pointer[error] // background build failure, surfaced at the next foreground call
 	inline   bool                  // WAL replay in progress: drain inline for determinism
 	prepared uint64                // staged (uncommitted) checkpoint generation
@@ -146,6 +166,7 @@ type lsmState struct {
 	retiredFileWrites int64
 	retiredHits       int64
 	retiredMisses     int64
+	retiredCtrl       core.CtrlCacheStats // hits and misses; a closed run holds no entries
 
 	// pool configuration replicated onto every run (AttachPool).
 	poolFrames, poolShards int
@@ -285,7 +306,9 @@ func (m *Manager) lsmKick() {
 	if !l.busy.CompareAndSwap(false, true) {
 		return
 	}
+	l.worker.Add(1)
 	go func() {
+		defer l.worker.Done()
 		for {
 			m.lsmDrain()
 			l.busy.Store(false)
@@ -301,7 +324,7 @@ func (m *Manager) lsmKick() {
 
 func (m *Manager) lsmHasWork() bool {
 	l := m.lsm
-	if l.workErr.Load() != nil {
+	if l.workErr.Load() != nil || l.closed.Load() {
 		return false
 	}
 	l.mu.RLock()
@@ -313,7 +336,7 @@ func (m *Manager) lsmHasWork() bool {
 // (the paper's rebuild threshold), or -1. Caller holds l.mu.
 func (l *lsmState) compactable() int {
 	for i, r := range l.runs {
-		if len(r.dead)*2 >= r.m.Len() && r.m.Len() > 0 {
+		if r.compactDue() {
 			return i
 		}
 	}
@@ -348,6 +371,9 @@ func (m *Manager) lsmStep() (bool, error) {
 	l := m.lsm
 	l.mergeMu.Lock()
 	defer l.mergeMu.Unlock()
+	if l.closed.Load() {
+		return false, nil
+	}
 	l.mu.RLock()
 	frozen := len(l.frozen) > 0
 	over := len(l.runs) > l.cfg.MaxRuns
@@ -404,7 +430,7 @@ func (m *Manager) lsmFlushOldest() error {
 	if run != nil {
 		for id := range part.dead {
 			if _, old := snap[id]; !old {
-				run.dead[id] = struct{}{}
+				run.markDead(id)
 			}
 		}
 		l.runs = append(l.runs, run)
@@ -449,7 +475,7 @@ func (m *Manager) lsmReplace(srcs []*lsmRun) error {
 		for i, r := range srcs {
 			for id := range r.dead {
 				if _, old := snaps[i][id]; !old {
-					run.dead[id] = struct{}{}
+					run.markDead(id)
 				}
 			}
 		}
@@ -488,6 +514,9 @@ func (l *lsmState) retireLocked(srcs []*lsmRun) {
 		h, ms := r.m.PoolStats()
 		l.retiredHits += h
 		l.retiredMisses += ms
+		cs := r.m.CtrlCacheStats()
+		cs.Entries = 0
+		l.retiredCtrl = l.retiredCtrl.Add(cs)
 	}
 	l.retiredMu.Unlock()
 	for _, r := range srcs {
@@ -607,8 +636,8 @@ func (m *Manager) lsmDelete(id uint64) {
 	for _, r := range l.runs {
 		if _, ok := r.m.dir[id]; ok {
 			if _, dead := r.dead[id]; !dead {
-				r.dead[id] = struct{}{}
-				trigger := len(r.dead)*2 >= r.m.Len()
+				r.markDead(id)
+				trigger := r.compactDue()
 				l.mu.RUnlock()
 				if trigger {
 					if l.cfg.SyncCompaction || l.inline {
@@ -830,6 +859,7 @@ func (m *Manager) lsmResetStats() {
 	defer l.mu.RUnlock()
 	l.retiredMu.Lock()
 	l.retiredStats = disk.Stats{}
+	l.retiredCtrl = core.CtrlCacheStats{}
 	l.retiredMu.Unlock()
 	for _, r := range l.runs {
 		r.m.ResetStats()
@@ -860,6 +890,19 @@ func (m *Manager) lsmPoolStats() (hits, misses int64) {
 		misses += ms
 	}
 	return hits, misses
+}
+
+func (m *Manager) lsmCtrlCacheStats() core.CtrlCacheStats {
+	l := m.lsm
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	l.retiredMu.Lock()
+	cs := l.retiredCtrl
+	l.retiredMu.Unlock()
+	for _, r := range l.runs {
+		cs = cs.Add(r.m.CtrlCacheStats())
+	}
+	return cs
 }
 
 func (m *Manager) lsmAttachPool(frames, nShards int) {
@@ -914,8 +957,24 @@ func (m *Manager) lsmSetWriteBudget(b *disk.WriteBudget) {
 	}
 }
 
+// lsmCloseFiles quiesces compaction before closing anything: no work item
+// starts once closed is set, the one in flight is waited for on mergeMu (it
+// swaps its run in, so no half-built run directory is left; the next open
+// garbage-collects an uncommitted run), and the background goroutine has
+// exited on return. A worker left building would write into run directories
+// the next in-process Open removes and rebuilds under the same names.
 func (m *Manager) lsmCloseFiles() error {
 	l := m.lsm
+	l.closed.Store(true)
+	// A checkpoint between prepare and commit already holds mergeMu; closing
+	// there models a crash, the staged runstate stays for the manifest to
+	// decide.
+	if !l.cpHeld {
+		l.mergeMu.Lock()
+	}
+	l.cpHeld = false
+	l.mergeMu.Unlock()
+	l.worker.Wait()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var first error
@@ -1060,7 +1119,7 @@ func openLSM(dir string, cfg Config, seq uint64, opt DurableOptions) (mgr *Manag
 		}
 		run := &lsmRun{m: rm, dead: make(map[uint64]struct{}, len(item.Dead)), name: item.Name}
 		for _, id := range item.Dead {
-			run.dead[id] = struct{}{}
+			run.markDead(id)
 		}
 		l.runs = append(l.runs, run)
 		rm.Each(func(iv geom.Interval) bool {

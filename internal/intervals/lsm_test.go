@@ -69,6 +69,9 @@ func TestLSMChurnOracle(t *testing.T) {
 				if got := collectIntersect(m, qi); !eqIDs(got, wantI) {
 					t.Fatalf("round %d: Intersect(%v)=%v want %v", round, qi, got, wantI)
 				}
+				if err := m.CheckInvariants(); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
 			}
 			// Batched paths against the sequential ones.
 			qs := make([]int64, 32)
@@ -542,5 +545,73 @@ func TestLSMBackgroundMergeHammer(t *testing.T) {
 	st := m.IngestStats()
 	if st.Flushes == 0 || st.Merges == 0 {
 		t.Fatalf("expected background flushes and merges, got %+v", st)
+	}
+}
+
+// TestLSMCloseQuiescesWorker closes a durable log-structured manager
+// WITHOUT a checkpoint while its background worker is likely mid-build
+// (each round writes past two memtable sizes immediately before), reopens
+// it in process, and oracle-checks the WAL recovery. A worker that outlived
+// CloseFiles would keep writing a run directory the reopen garbage-collects
+// and whose name WAL replay reuses ("already holds a device"), and would
+// read dead maps the closed manager no longer guards. Run with -race.
+func TestLSMCloseQuiescesWorker(t *testing.T) {
+	const memtable, span = 64, int64(1 << 12)
+	dir := t.TempDir()
+	cfg := Config{B: 8, Ingest: &IngestConfig{MemtableSize: memtable, MaxRuns: 2}}
+	oracle := map[uint64]geom.Interval{}
+	var init []geom.Interval
+	for i := 0; i < 200; i++ {
+		lo := int64(i) * span / 200
+		init = append(init, geom.Interval{Lo: lo, Hi: lo + 40, ID: uint64(i + 1)})
+		oracle[init[i].ID] = init[i]
+	}
+	m, err := CreateAt(dir, cfg, init, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { m.CloseFiles() }()
+	rng := rand.New(rand.NewSource(17))
+	nextID := uint64(1000)
+	rounds := 12
+	if testing.Short() {
+		rounds = 4
+	}
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < 2*memtable+memtable/2; i++ {
+			if rng.Intn(3) == 0 {
+				// Mostly run-resident ids: the dead-map write the worker's
+				// compaction trigger reads beside.
+				for id := range oracle {
+					if !m.Delete(id) {
+						t.Fatalf("round %d: delete %d reported absent", round, id)
+					}
+					delete(oracle, id)
+					break
+				}
+				continue
+			}
+			lo := rng.Int63n(span)
+			iv := geom.Interval{Lo: lo, Hi: lo + rng.Int63n(128), ID: nextID}
+			nextID++
+			m.Insert(iv)
+			oracle[iv.ID] = iv
+		}
+		if err := m.CloseFiles(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		re, err := OpenAt(dir, DurableOptions{})
+		if err != nil {
+			t.Fatalf("round %d: reopen after unclean close: %v", round, err)
+		}
+		m = re
+		if m.Len() != len(oracle) {
+			t.Fatalf("round %d: reopened Len=%d oracle=%d", round, m.Len(), len(oracle))
+		}
+		for q := int64(0); q < span; q += span / 23 {
+			if got, want := collectStab(m, q), oracleStab(oracle, q); !eqIDs(got, want) {
+				t.Fatalf("round %d: reopened Stab(%d)=%v want %v", round, q, got, want)
+			}
+		}
 	}
 }

@@ -178,6 +178,15 @@ func New(b Backend, cfg Config) (*Server, error) {
 		}
 		return float64(h) / float64(h+miss)
 	})
+	s.m.gaugeFunc("ccidx_ctrl_cache_hits_total", "Metablock visits answered from the decoded control cache.", func() float64 {
+		return float64(b.Intervals.CtrlCacheStats().Hits)
+	})
+	s.m.gaugeFunc("ccidx_ctrl_cache_misses_total", "Metablock visits that read and decoded their control blob.", func() float64 {
+		return float64(b.Intervals.CtrlCacheStats().Misses)
+	})
+	s.m.gaugeFunc("ccidx_ctrl_cache_entries", "Decoded control blocks held across interval shards and runs.", func() float64 {
+		return float64(b.Intervals.CtrlCacheStats().Entries)
+	})
 	s.m.gaugeFunc("ccidx_rebuilds_total", "Global rebuilds across interval shards.", func() float64 {
 		return float64(b.Intervals.Rebuilds())
 	})
@@ -615,6 +624,10 @@ type statsDoc struct {
 	IOs         int64   `json:"ios"`
 	PoolHits    int64   `json:"pool_hits"`
 	PoolMisses  int64   `json:"pool_misses"`
+	CtrlHits    int64   `json:"ctrl_cache_hits"`
+	CtrlMisses  int64   `json:"ctrl_cache_misses"`
+	CtrlEntries int64   `json:"ctrl_cache_entries"`
+	Spared      int64   `json:"pages_spared"`
 	Rebuilds    int     `json:"rebuilds"`
 	Runs        int     `json:"runs"`
 	MemtableLen int     `json:"memtable_len"`
@@ -643,6 +656,7 @@ func (s *Server) handleStats(ctx context.Context, w http.ResponseWriter, r *http
 		st.Writes += cst.Writes
 	}
 	ing := s.b.Intervals.IngestStats()
+	cc := s.b.Intervals.CtrlCacheStats()
 	return writeJSON(w, statsDoc{
 		Intervals:   s.b.Intervals.Len(),
 		Reads:       st.Reads,
@@ -650,6 +664,10 @@ func (s *Server) handleStats(ctx context.Context, w http.ResponseWriter, r *http
 		IOs:         st.IOs(),
 		PoolHits:    hits,
 		PoolMisses:  misses,
+		CtrlHits:    cc.Hits,
+		CtrlMisses:  cc.Misses,
+		CtrlEntries: cc.Entries,
+		Spared:      st.Spared,
 		Rebuilds:    s.b.Intervals.Rebuilds(),
 		Runs:        ing.Runs,
 		MemtableLen: ing.MemtableLen,

@@ -299,10 +299,10 @@ func TestShardStabBatchSharesIOs(t *testing.T) {
 	for _, q := range qs {
 		s.Stab(q, func(geom.Interval) bool { return true })
 	}
-	seq := s.Stats().Sub(before).IOs()
+	seq := s.Stats().Sub(before).ModelIOs()
 	before = s.Stats()
 	s.StabBatch(qs, func(int, geom.Interval) bool { return true })
-	batch := s.Stats().Sub(before).IOs()
+	batch := s.Stats().Sub(before).ModelIOs()
 	if batch*2 > seq {
 		t.Fatalf("batched stab shared too little: %d I/Os batched vs %d sequential", batch, seq)
 	}

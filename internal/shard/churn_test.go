@@ -91,6 +91,10 @@ func TestShardChurnOracle(t *testing.T) {
 					if s.Len() != nv.Len() {
 						t.Fatalf("op %d: Len drift: sharded %d naive %d", i, s.Len(), nv.Len())
 					}
+					// Control-cache coherence in every shard, after every op.
+					if err := s.checkInvariants(); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
 				}
 				if s.Delete(1 << 62) {
 					t.Fatal("delete of absent id succeeded")

@@ -57,6 +57,9 @@ func TestShardedCheckpointFaultRetry(t *testing.T) {
 	// in the prepare phase proper — the retryable region. (A fault during
 	// the drain is the reopen-only case covered by the test below.)
 	s.Flush()
+	// Warm every shard's control cache before the first fault: each
+	// rollback below then happens under cached entries.
+	compareSharded(t, s, live, span)
 
 	seq0 := s.Seq()
 	faults := 0
@@ -86,6 +89,9 @@ func TestShardedCheckpointFaultRetry(t *testing.T) {
 				f.SetWriteBudget(nil)
 			}
 			compareSharded(t, s, live, span)
+			if err := s.checkInvariants(); err != nil {
+				t.Fatalf("k=%d: after rollback: %v", k, err)
+			}
 		}
 	}
 	for _, f := range s.Files() {

@@ -130,6 +130,8 @@ func runRandomCrashWorkload(t *testing.T, dir string, seed, k int64, out *sharde
 					delete(live, op.ID)
 				}
 			}
+			// Every fault lands on trees whose control caches are populated.
+			s.Stab(int64(i*37)%span, func(geom.Interval) bool { return true })
 		}()
 		if crashed {
 			break
@@ -231,6 +233,9 @@ func TestRandomCrashSchedules(t *testing.T) {
 						q := geom.Interval{Lo: lo, Hi: lo + span/5}
 						check(fmt.Sprintf("Intersect(%v)", q), shardedIntersectIDs(reopened, q),
 							func(om map[uint64]geom.Interval) []uint64 { return bruteIntersect(om, q) })
+					}
+					if err := reopened.checkInvariants(); err != nil {
+						t.Fatalf("crash at %d: %v", k, err)
 					}
 				})
 			}

@@ -51,6 +51,19 @@ func bruteIntersect(live map[uint64]geom.Interval, q geom.Interval) []uint64 {
 	return sortIDs(ids)
 }
 
+// checkInvariants validates every shard's stabbing tree — control-cache
+// coherence included — under that shard's read lock.
+func (s *Intervals) checkInvariants() error {
+	for i, sh := range s.shards {
+		var err error
+		sh.cell.read(func([]ivOp) { err = sh.mgr.CheckInvariants() })
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 func compareSharded(t *testing.T, s *Intervals, live map[uint64]geom.Interval, span int64) {
 	t.Helper()
 	if s.Len() != len(live) {
@@ -245,6 +258,9 @@ func TestShardedCrashEveryWrite(t *testing.T) {
 				check(fmt.Sprintf("Intersect(%v)", q), shardedIntersectIDs(reopened, q),
 					func(om map[uint64]geom.Interval) []uint64 { return bruteIntersect(om, q) })
 			}
+			if err := reopened.checkInvariants(); err != nil {
+				t.Fatalf("crash at write %d: %v", k, err)
+			}
 		})
 	}
 }
@@ -300,6 +316,8 @@ func runShardedCrashWorkload(t *testing.T, dir string, k int64, out *shardedCras
 					delete(live, op.ID)
 				}
 			}
+			// Every fault lands on trees whose control caches are populated.
+			s.Stab(int64(i*37)%span, func(geom.Interval) bool { return true })
 		}()
 		if crashed {
 			break

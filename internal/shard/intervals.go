@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ccidx/internal/core"
 	"ccidx/internal/disk"
 	"ccidx/internal/geom"
 	"ccidx/internal/intervals"
@@ -264,6 +265,15 @@ func (s *Intervals) PoolStats() (hits, misses int64) {
 		misses += m
 	}
 	return hits, misses
+}
+
+// CtrlCacheStats sums the decoded-control-cache counters across shards.
+func (s *Intervals) CtrlCacheStats() core.CtrlCacheStats {
+	var total core.CtrlCacheStats
+	for _, sh := range s.shards {
+		total = total.Add(sh.mgr.CtrlCacheStats())
+	}
+	return total
 }
 
 // IngestStats sums the log-structured ingest counters across shards (zeros

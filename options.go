@@ -21,6 +21,7 @@ package ccidx
 import (
 	"fmt"
 
+	"ccidx/internal/core"
 	"ccidx/internal/disk"
 	"ccidx/internal/intervals"
 	"ccidx/internal/shard"
@@ -133,6 +134,10 @@ func (o Options) shardConfig() shard.Config {
 // (zeros for tree-mode indexes).
 type IngestStats = intervals.IngestStats
 
+// CtrlCacheStats snapshots the metablock trees' decoded control cache:
+// lookups that hit and missed, and entries held (at most one per metablock).
+type CtrlCacheStats = core.CtrlCacheStats
+
 // Index is the unified interval-index surface: both IntervalManager and
 // ShardedIntervalManager implement it, so serving code is written once and
 // the topology is an Options decision.
@@ -170,7 +175,12 @@ type Index interface {
 	IngestStats() IngestStats
 	// PoolStats sums buffer-pool hits and misses (zeros without pooling).
 	PoolStats() (hits, misses int64)
-	// Stats sums device I/O counters.
+	// CtrlCacheStats sums the decoded-control-cache counters over shards
+	// and runs.
+	CtrlCacheStats() CtrlCacheStats
+	// Stats sums device I/O counters; its Spared field is the page reads
+	// the control cache made unnecessary, so Stats().ModelIOs() is the
+	// paper-model cost.
 	Stats() Stats
 	// SpaceBlocks sums live device pages.
 	SpaceBlocks() int64
