@@ -15,6 +15,7 @@
 package bptree
 
 import (
+	"cmp"
 	"fmt"
 
 	"ccidx/internal/disk"
@@ -40,6 +41,14 @@ func Less(a, b Entry) bool {
 		return a.Key < b.Key
 	}
 	return a.RID < b.RID
+}
+
+// Compare is Less as a three-way comparison, for slices.SortFunc.
+func Compare(a, b Entry) int {
+	if c := cmp.Compare(a.Key, b.Key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.RID, b.RID)
 }
 
 const (
@@ -614,90 +623,109 @@ func (t *Tree) Min() (Entry, bool) {
 	return out, ok
 }
 
-// BulkLoad builds a tree from entries that must already be sorted by
-// (key, rid); it is the O(n/B) construction used by the static class
-// indexes. Duplicate entries are kept once.
-func BulkLoad(b int, entries []Entry) *Tree {
-	t := New(b)
-	if len(entries) == 0 {
-		return t
+// Fill is a bulk load's page-fill policy.
+type Fill int
+
+const (
+	// FillSlack leaves about a quarter of every leaf and internal node
+	// free, so a tree that takes inserts absorbs them without splitting at
+	// once.
+	FillSlack Fill = iota
+	// FillFull packs every page to capacity, for a tree that is never
+	// modified after the load.
+	FillFull
+)
+
+// caps returns the entries per leaf and children per internal node a bulk
+// load under policy f packs at most.
+func (t *Tree) caps(f Fill) (leaf, fanout int) {
+	if f == FillFull {
+		return t.b, t.maxSeps + 1
 	}
-	dedup := make([]Entry, 0, len(entries))
-	for i, e := range entries {
-		if i > 0 {
-			prev := entries[i-1]
-			if Less(e, prev) {
-				panic("bptree: BulkLoad input not sorted")
-			}
-			if sameKR(e, prev) {
-				continue
-			}
-		}
-		dedup = append(dedup, e)
-	}
-	entries = dedup
+	return min(t.b*3/4+1, t.b), min(t.maxSeps*3/4+2, t.maxSeps+1)
+}
+
+// groups returns how many nearly equal groups of at most size items n items
+// split into; an empty input still makes one (empty) group.
+func groups(n, size int) int { return max(1, (n+size-1)/size) }
+
+// BulkLoad builds a tree on store, whose page size must be PageSize(b),
+// from entries sorted by (key, rid); duplicate entries are kept once. It is
+// the O(n/B) construction of the interval manager's endpoint tree.
+//
+// The layout is planned before anything is written: each level is cut into
+// ceil(len/cap) nearly equal groups (so no node is left with a lone child
+// or a near-empty tail), and every leaf id is allocated before the first
+// leaf is written, so each leaf carries its next pointer from the start.
+// The build reads no page and writes every page it allocates exactly once,
+// leaves first, then each internal level bottom-up.
+func BulkLoad(store disk.Store, b int, entries []Entry, fill Fill) *Tree {
+	t := skeletonOn(store, b)
+	entries = dedupSorted(entries)
 	t.n = len(entries)
+	leafCap, fanout := t.caps(fill)
 
 	type built struct {
 		id    disk.BlockID
 		first Entry
 	}
-	var level []built
-	fill := t.b*3/4 + 1 // leave slack for future inserts
-	if fill > t.b {
-		fill = t.b
+	level := make([]built, groups(len(entries), leafCap))
+	for i := range level {
+		level[i].id = t.dev.Alloc()
 	}
-	var prevLeaf disk.BlockID
-	var prevNode *node
-	for i := 0; i < len(entries); i += fill {
-		j := i + fill
-		if j > len(entries) {
-			j = len(entries)
+	for i := range level {
+		lo, hi := i*len(entries)/len(level), (i+1)*len(entries)/len(level)
+		leaf := node{leaf: true, entries: entries[lo:hi], next: disk.NilBlock}
+		if i+1 < len(level) {
+			leaf.next = level[i+1].id
 		}
-		leaf := &node{leaf: true, entries: append([]Entry(nil), entries[i:j]...)}
-		id := t.writeNode(disk.NilBlock, leaf)
-		if prevNode != nil {
-			prevNode.next = id
-			t.writeNode(prevLeaf, prevNode)
+		t.writeNode(level[i].id, &leaf)
+		if lo < hi {
+			level[i].first = entries[lo]
 		}
-		prevLeaf, prevNode = id, leaf
-		level = append(level, built{id: id, first: leaf.entries[0]})
 	}
-	disk.MustFreeAt(t.dev, t.root)
 	t.height = 1
+	var nd node
 	for len(level) > 1 {
-		var next []built
-		fanout := t.maxSeps*3/4 + 2
-		if fanout > t.maxSeps+1 {
-			fanout = t.maxSeps + 1
-		}
-		for i := 0; i < len(level); i += fanout {
-			j := i + fanout
-			if j > len(level) {
-				j = len(level)
-			}
-			if j-i == 1 && len(next) > 0 {
-				// Avoid a single-child node: fold into the previous one.
-				prev := next[len(next)-1]
-				pn := t.readNode(prev.id)
-				pn.seps = append(pn.seps, level[i].first)
-				pn.children = append(pn.children, level[i].id)
-				t.writeNode(prev.id, pn)
-				continue
-			}
-			nd := &node{}
-			for k := i; k < j; k++ {
-				if k > i {
+		next := make([]built, groups(len(level), fanout))
+		for i := range next {
+			lo, hi := i*len(level)/len(next), (i+1)*len(level)/len(next)
+			nd.seps, nd.children = nd.seps[:0], nd.children[:0]
+			for k := lo; k < hi; k++ {
+				if k > lo {
 					nd.seps = append(nd.seps, level[k].first)
 				}
 				nd.children = append(nd.children, level[k].id)
 			}
-			id := t.writeNode(disk.NilBlock, nd)
-			next = append(next, built{id: id, first: level[i].first})
+			next[i] = built{id: t.writeNode(disk.NilBlock, &nd), first: level[lo].first}
 		}
 		level = next
 		t.height++
 	}
 	t.root = level[0].id
 	return t
+}
+
+// dedupSorted returns entries without repeated (key, rid) pairs, copying
+// only when there is one to drop; it panics when entries is not sorted.
+func dedupSorted(entries []Entry) []Entry {
+	var out []Entry // nil until a duplicate forces a copy
+	for i := 1; i < len(entries); i++ {
+		e, prev := entries[i], entries[i-1]
+		if Less(e, prev) {
+			panic("bptree: BulkLoad input not sorted")
+		}
+		switch {
+		case !sameKR(e, prev):
+			if out != nil {
+				out = append(out, e)
+			}
+		case out == nil:
+			out = append(make([]Entry, 0, len(entries)-1), entries[:i]...)
+		}
+	}
+	if out == nil {
+		return entries
+	}
+	return out
 }

@@ -1,11 +1,19 @@
 package bptree
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"ccidx/internal/disk"
 )
+
+// bulkLoad bulk-loads entries onto a fresh in-memory pager.
+func bulkLoad(b int, entries []Entry, fill Fill) *Tree {
+	return BulkLoad(disk.NewPager(PageSize(b)), b, entries, fill)
+}
 
 func collectRange(t *Tree, lo, hi int64) []Entry {
 	var out []Entry
@@ -234,7 +242,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 		entries = append(entries, Entry{Key: rng.Int63n(1000), RID: uint64(i)})
 	}
 	sort.Slice(entries, func(i, j int) bool { return Less(entries[i], entries[j]) })
-	bl := BulkLoad(16, entries)
+	bl := bulkLoad(16, entries, FillSlack)
 	inc := New(16)
 	for _, e := range entries {
 		inc.Insert(e.Key, e.RID)
@@ -255,17 +263,17 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 }
 
 func TestBulkLoadEmptyAndSingleton(t *testing.T) {
-	if tr := BulkLoad(8, nil); tr.Len() != 0 {
+	if tr := bulkLoad(8, nil, FillSlack); tr.Len() != 0 {
 		t.Fatal("empty bulk load")
 	}
-	tr := BulkLoad(8, []Entry{{Key: 5, RID: 1}})
+	tr := bulkLoad(8, []Entry{{Key: 5, RID: 1}}, FillSlack)
 	if tr.Len() != 1 || !tr.Contains(5, 1) {
 		t.Fatal("singleton bulk load")
 	}
 }
 
 func TestBulkLoadDeduplicates(t *testing.T) {
-	tr := BulkLoad(8, []Entry{{Key: 1, RID: 1}, {Key: 1, RID: 1}, {Key: 2, RID: 1}})
+	tr := bulkLoad(8, []Entry{{Key: 1, RID: 1}, {Key: 1, RID: 1}, {Key: 2, RID: 1}}, FillSlack)
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tr.Len())
 	}
@@ -277,7 +285,7 @@ func TestBulkLoadRejectsUnsorted(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	BulkLoad(8, []Entry{{Key: 2}, {Key: 1}})
+	bulkLoad(8, []Entry{{Key: 2}, {Key: 1}}, FillSlack)
 }
 
 func TestBulkLoadSupportsFurtherInserts(t *testing.T) {
@@ -285,7 +293,7 @@ func TestBulkLoadSupportsFurtherInserts(t *testing.T) {
 	for i := range entries {
 		entries[i] = Entry{Key: int64(i * 2), RID: 1}
 	}
-	tr := BulkLoad(8, entries)
+	tr := bulkLoad(8, entries, FillSlack)
 	for i := 0; i < 1000; i++ {
 		tr.Insert(int64(i*2+1), 1)
 	}
@@ -299,6 +307,122 @@ func TestBulkLoadSupportsFurtherInserts(t *testing.T) {
 }
 
 // --- I/O complexity tests (the Section 1.1 reference bounds) ---
+
+// TestBulkLoadProperty checks every bulk-loaded tree shape for small B —
+// where the internal fan-out cap equals maxSeps+1 — under both fill
+// policies: contents, Len, minimum height, node capacities, the leaf
+// chain, and that the build read nothing and wrote each page once.
+func TestBulkLoadProperty(t *testing.T) {
+	for b := 4; b <= 16; b++ {
+		for _, fill := range []Fill{FillSlack, FillFull} {
+			for n := 0; n <= 300; n++ {
+				if err := checkBulkLoad(b, n, fill); err != nil {
+					t.Fatalf("b=%d n=%d fill=%d: %v", b, n, fill, err)
+				}
+			}
+		}
+	}
+}
+
+func checkBulkLoad(b, n int, fill Fill) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+		}
+	}()
+	// n distinct entries, keys repeated in runs of three so equal keys
+	// span leaves, with every seventh entry repeated to exercise dedup.
+	var want, in []Entry
+	for i := 0; i < n; i++ {
+		e := Entry{Key: int64(i / 3), RID: uint64(i % 3), Val: uint64(i)}
+		want = append(want, e)
+		in = append(in, e)
+		if i%7 == 0 {
+			in = append(in, e)
+		}
+	}
+	pager := disk.NewPager(PageSize(b))
+	tr := BulkLoad(pager, b, in, fill)
+
+	if st := pager.Stats(); st.Reads != 0 || st.Writes != pager.Allocated() {
+		return fmt.Errorf("build did %d reads, %d writes for %d pages", st.Reads, st.Writes, pager.Allocated())
+	}
+	if tr.Len() != n {
+		return fmt.Errorf("Len = %d", tr.Len())
+	}
+	var got []Entry
+	tr.All(func(e Entry) bool {
+		got = append(got, e)
+		return true
+	})
+	if len(got) != n {
+		return fmt.Errorf("All returned %d entries", len(got))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("All entry %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	leafCap, fanout := tr.caps(fill)
+	minHeight := 1
+	for span := leafCap; span < n; span *= fanout {
+		minHeight++
+	}
+	if tr.Height() != minHeight {
+		return fmt.Errorf("Height = %d, want %d", tr.Height(), minHeight)
+	}
+
+	// Walk the tree: capacities, uniform leaf depth, separators equal to
+	// each right subtree's first entry, and the leaves in key order.
+	var leaves []disk.BlockID
+	var walk func(id disk.BlockID, depth int) (Entry, error)
+	walk = func(id disk.BlockID, depth int) (Entry, error) {
+		nd := tr.readNode(id)
+		if nd.leaf {
+			if depth != tr.Height() {
+				return Entry{}, fmt.Errorf("leaf %d at depth %d", id, depth)
+			}
+			if len(nd.entries) > b || (len(nd.entries) == 0 && n > 0) {
+				return Entry{}, fmt.Errorf("leaf %d holds %d entries", id, len(nd.entries))
+			}
+			leaves = append(leaves, id)
+			if len(nd.entries) == 0 {
+				return Entry{}, nil
+			}
+			return nd.entries[0], nil
+		}
+		if len(nd.seps) > tr.maxSeps || len(nd.children) != len(nd.seps)+1 || len(nd.children) < 2 {
+			return Entry{}, fmt.Errorf("internal %d: %d seps, %d children", id, len(nd.seps), len(nd.children))
+		}
+		var first Entry
+		for i, c := range nd.children {
+			f, err := walk(c, depth+1)
+			if err != nil {
+				return Entry{}, err
+			}
+			if i == 0 {
+				first = f
+			} else if !sameKR(f, nd.seps[i-1]) {
+				return Entry{}, fmt.Errorf("internal %d: separator %d = %v, subtree starts at %v", id, i-1, nd.seps[i-1], f)
+			}
+		}
+		return first, nil
+	}
+	if _, err := walk(tr.root, 1); err != nil {
+		return err
+	}
+	id := leaves[0]
+	for i := range leaves {
+		if id != leaves[i] {
+			return fmt.Errorf("leaf chain step %d reaches %d, want %d", i, id, leaves[i])
+		}
+		id = tr.readNode(id).next
+	}
+	if id != disk.NilBlock {
+		return fmt.Errorf("leaf chain continues past the last leaf to %d", id)
+	}
+	return nil
+}
 
 func TestRangeIOBound(t *testing.T) {
 	// Query I/O must be <= c1*log_B(n) + c2*t/B + c3.

@@ -12,8 +12,9 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Point is a planar point with a record identifier. For interval workloads,
@@ -56,12 +57,28 @@ func YDescLess(a, b Point) bool {
 
 // SortByX sorts points by the canonical (X, Y, ID) order.
 func SortByX(ps []Point) {
-	sort.Slice(ps, func(i, j int) bool { return Less(ps[i], ps[j]) })
+	slices.SortFunc(ps, func(a, b Point) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Y, b.Y); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 }
 
-// SortByYDesc sorts points by decreasing Y.
+// SortByYDesc sorts points by decreasing Y (the YDescLess order).
 func SortByYDesc(ps []Point) {
-	sort.Slice(ps, func(i, j int) bool { return YDescLess(ps[i], ps[j]) })
+	slices.SortFunc(ps, func(a, b Point) int {
+		if c := cmp.Compare(b.Y, a.Y); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 }
 
 // CornerQuery is a diagonal corner query: the corner lies at (A, A) on the
@@ -158,7 +175,7 @@ func DedupIDs(ps []Point) []uint64 {
 	for _, p := range ps {
 		ids = append(ids, p.ID)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	out := ids[:0]
 	var last uint64
 	for i, id := range ids {

@@ -132,6 +132,15 @@ func CreateAt(dir string, cfg Config, ivs []geom.Interval, opt DurableOptions) (
 // many managers under one top-level manifest via PrepareCheckpoint /
 // CommitCheckpoint.
 func CreateManaged(dir string, cfg Config, ivs []geom.Interval, opt DurableOptions) (*Manager, error) {
+	return createManaged(dir, cfg, ivs, opt, bptree.FillSlack)
+}
+
+// createManaged is CreateManaged with the endpoint tree's page-fill policy
+// (see newOn). The build runs inside a recover guard like OpenManaged's:
+// the trees' Must* helpers panic with error values on a write fault
+// (EIO, ENOSPC, an injected fault), which a create must return as an
+// error, closing the devices and the WAL it opened.
+func createManaged(dir string, cfg Config, ivs []geom.Interval, opt DurableOptions, fill bptree.Fill) (mgr *Manager, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -143,6 +152,23 @@ func CreateManaged(dir string, cfg Config, ivs []geom.Interval, opt DurableOptio
 		return nil, err
 	}
 	var wal *disk.WAL
+	closeAll := func() {
+		ep.Close()
+		st.Close()
+		if wal != nil {
+			wal.Close()
+		}
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			closeAll()
+			e, ok := p.(error)
+			if !ok {
+				panic(p)
+			}
+			mgr, err = nil, fmt.Errorf("intervals: creating %s: %w", dir, e)
+		}
+	}()
 	if !opt.DisableWAL {
 		wal, err = disk.OpenWAL(filepath.Join(dir, walFile), opt.Fsync)
 		if err == nil {
@@ -150,15 +176,11 @@ func CreateManaged(dir string, cfg Config, ivs []geom.Interval, opt DurableOptio
 			err = wal.Reset(ep.Seq())
 		}
 		if err != nil {
-			ep.Close()
-			st.Close()
-			if wal != nil {
-				wal.Close()
-			}
+			closeAll()
 			return nil, err
 		}
 	}
-	m := newOn(cfg, ep, st, ivs)
+	m := newOn(cfg, ep, st, ivs, fill)
 	m.files = []*disk.FileDevice{ep, st}
 	m.wal = wal
 	m.dirPath = dir

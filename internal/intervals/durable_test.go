@@ -3,8 +3,10 @@ package intervals
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"ccidx/internal/disk"
@@ -244,6 +246,9 @@ func TestDurableCrashEveryWrite(t *testing.T) {
 	for k := int64(1); k <= total; k += step {
 		k := k
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			// Each crash point owns its directory and workload; nothing
+			// is shared between subtests.
+			t.Parallel()
 			dir := filepath.Join(t.TempDir(), "ivm")
 			var out crashOutcome
 			runCrashWorkload(t, dir, k, &out)
@@ -291,7 +296,7 @@ func runCrashWorkload(t *testing.T, dir string, k int64, out *crashOutcome) int6
 	const (
 		b         = 8
 		n0        = 120
-		ops       = 260
+		ops       = 270
 		ckptEvery = 40
 		span      = int64(3000)
 	)
@@ -374,6 +379,64 @@ func panicErr(p any) error {
 		return err
 	}
 	return fmt.Errorf("%v", p)
+}
+
+// openUnder lists the files under dir that the process holds open, read
+// from /proc/self/fd (empty where that is not available).
+func openUnder(dir string) []string {
+	root, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		return nil
+	}
+	ents, _ := os.ReadDir("/proc/self/fd")
+	var open []string
+	for _, e := range ents {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+		if err == nil && strings.HasPrefix(target, root+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// TestCreateCrashEveryWrite faults a tree-mode CreateAt at every file write
+// of an unfaulted create (tree build, WAL reset and initial checkpoint):
+// each must return an error wrapping ErrInjectedFault, never panic, and
+// leave no device or WAL descriptor open. A budget of exactly the
+// unfaulted write count must succeed.
+func TestCreateCrashEveryWrite(t *testing.T) {
+	init := workload.UniformIntervals(5, 120, 3000, 150)
+	create := func(t *testing.T, dir string, budget *disk.WriteBudget) (m *Manager, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("CreateAt panicked: %v", p)
+			}
+		}()
+		return CreateAt(dir, Config{B: 8}, init, DurableOptions{Budget: budget})
+	}
+	probe, err := create(t, filepath.Join(t.TempDir(), "probe"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := probe.FileWrites()
+	probe.CloseFiles()
+	for k := int64(0); k <= total; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			m, err := create(t, filepath.Join(dir, "ivm"), disk.NewWriteBudget(k))
+			if k == total {
+				if err != nil {
+					t.Fatalf("create within a budget of all %d writes: %v", total, err)
+				}
+				m.CloseFiles()
+			} else if !errors.Is(err, disk.ErrInjectedFault) {
+				t.Fatalf("create faulted at write %d returned %v, want ErrInjectedFault", k+1, err)
+			}
+			if open := openUnder(dir); len(open) > 0 {
+				t.Fatalf("create with a budget of %d writes left files open: %v", k, open)
+			}
+		})
+	}
 }
 
 // TestCreateAtRefusesExistingDir: re-creating over an existing durable

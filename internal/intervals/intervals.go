@@ -25,6 +25,7 @@ package intervals
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"ccidx/internal/bptree"
@@ -85,34 +86,43 @@ func New(cfg Config, ivs []geom.Interval) *Manager {
 	if cfg.Ingest != nil {
 		return newLSM(cfg, ivs)
 	}
+	return newMem(cfg, ivs, bptree.FillSlack)
+}
+
+// newMem builds a manager whose trees live on fresh in-memory pagers.
+func newMem(cfg Config, ivs []geom.Interval, fill bptree.Fill) *Manager {
 	return newOn(cfg,
 		disk.NewPager(bptree.PageSize(cfg.B)),
 		disk.NewPager(core.Config{B: cfg.B}.PageSize()),
-		ivs)
+		ivs, fill)
 }
 
-// newOn builds a manager whose trees live on the two given stores.
-func newOn(cfg Config, epStore, stStore disk.Store, ivs []geom.Interval) *Manager {
-	pts := make([]geom.Point, len(ivs))
-	for i, iv := range ivs {
-		if !iv.Valid() {
-			panic("intervals: invalid interval " + iv.String())
-		}
-		pts[i] = iv.ToPoint()
-	}
+// newOn builds a manager whose trees live on the two given stores. Both
+// are built statically: the metablock tree by core.NewOn, the endpoint
+// tree by sorting the entries and bulk-loading them with page-fill policy
+// fill — bptree.FillSlack for a tree that takes inserts, bptree.FillFull
+// for an immutable ingest run.
+func newOn(cfg Config, epStore, stStore disk.Store, ivs []geom.Interval, fill bptree.Fill) *Manager {
 	m := &Manager{
-		endpoints: bptree.NewOn(epStore, cfg.B),
-		stabber: core.NewOn(core.Config{
-			B: cfg.B, DisableTS: cfg.DisableTS, DisableCorner: cfg.DisableCorner,
-		}, stStore, pts),
 		dir: make(map[uint64]geom.Interval, len(ivs)),
 		n:   len(ivs),
 		cfg: cfg,
 	}
-	for _, iv := range ivs {
-		m.endpoints.InsertEntry(bptree.Entry{Key: iv.Lo, RID: iv.ID, Val: uint64(iv.Hi)})
+	pts := make([]geom.Point, len(ivs))
+	eps := make([]bptree.Entry, len(ivs))
+	for i, iv := range ivs {
+		if !iv.Valid() {
+			panic("intervals: invalid interval " + iv.String())
+		}
 		m.addDir(iv)
+		pts[i] = iv.ToPoint()
+		eps[i] = bptree.Entry{Key: iv.Lo, RID: iv.ID, Val: uint64(iv.Hi)}
 	}
+	slices.SortFunc(eps, bptree.Compare)
+	m.endpoints = bptree.BulkLoad(epStore, cfg.B, eps, fill)
+	m.stabber = core.NewOn(core.Config{
+		B: cfg.B, DisableTS: cfg.DisableTS, DisableCorner: cfg.DisableCorner,
+	}, stStore, pts)
 	return m
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ccidx/internal/bptree"
 	"ccidx/internal/geom"
 )
 
@@ -193,6 +194,33 @@ func TestSpaceBlocks(t *testing.T) {
 	m := New(Config{B: b}, genIntervals(rng, n, 1<<30))
 	if got, lim := m.SpaceBlocks(), int64(16*n/b); got > lim {
 		t.Fatalf("space %d exceeds %d", got, lim)
+	}
+}
+
+// TestEndpointBuildWritesEachPageOnce: the endpoint B+-tree is bulk-loaded,
+// so building it reads no page and writes each allocated page exactly
+// once, under both fill policies; the full policy (immutable runs) packs
+// the entries into fewer pages than the slack one.
+func TestEndpointBuildWritesEachPageOnce(t *testing.T) {
+	ivs := genIntervals(rand.New(rand.NewSource(11)), 10000, 1_000_000)
+	var pages [2]int64
+	for i, m := range []*Manager{
+		New(Config{B: 32}, ivs),
+		newMem(Config{B: 32}, ivs, bptree.FillFull),
+	} {
+		ep := m.endpoints.Pager()
+		st := ep.Stats()
+		if st.Reads != 0 || st.Writes != ep.Allocated() {
+			t.Fatalf("fill %d: endpoint build did %d reads and %d writes for %d pages",
+				i, st.Reads, st.Writes, ep.Allocated())
+		}
+		if m.endpoints.Len() != len(ivs) {
+			t.Fatalf("fill %d: endpoint tree holds %d entries, want %d", i, m.endpoints.Len(), len(ivs))
+		}
+		pages[i] = ep.Allocated()
+	}
+	if pages[1] >= pages[0] {
+		t.Fatalf("full fill took %d endpoint pages, slack fill %d", pages[1], pages[0])
 	}
 }
 

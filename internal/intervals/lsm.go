@@ -55,6 +55,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ccidx/internal/bptree"
 	"ccidx/internal/core"
 	"ccidx/internal/disk"
 	"ccidx/internal/geom"
@@ -562,15 +563,16 @@ func (m *Manager) lsmCompact(i int) error {
 // manager; durable, a tree built in its own subdirectory and committed
 // through the device checkpoint protocol at generation 1 (the run is
 // static — its generation never changes; the PARENT's runstate says which
-// runs exist). Error-valued panics out of the tree build (injected faults,
-// ENOSPC) are converted to errors and the half-built directory removed.
-func (m *Manager) buildRun(ivs []geom.Interval) (run *lsmRun, err error) {
+// runs exist). A failed build (an injected fault, ENOSPC — createManaged
+// returns the tree build's write faults as errors) removes the half-built
+// directory.
+func (m *Manager) buildRun(ivs []geom.Interval) (*lsmRun, error) {
 	l := m.lsm
 	l.mu.RLock()
 	frames, nShards := l.poolFrames, l.poolShards
 	l.mu.RUnlock()
 	if !l.durable {
-		rm := New(m.runConfig(), ivs)
+		rm := newMem(m.runConfig(), ivs, bptree.FillFull)
 		if frames != 0 {
 			rm.AttachPool(frames, nShards)
 		}
@@ -579,17 +581,7 @@ func (m *Manager) buildRun(ivs []geom.Interval) (run *lsmRun, err error) {
 	name := fmt.Sprintf("r%07d", l.nextRun)
 	l.nextRun++
 	dir := filepath.Join(m.dirPath, lsmRunsDir, name)
-	defer func() {
-		if p := recover(); p != nil {
-			e, ok := p.(error)
-			if !ok {
-				panic(p)
-			}
-			os.RemoveAll(dir)
-			run, err = nil, fmt.Errorf("intervals: building run %s: %w", name, e)
-		}
-	}()
-	rm, err := CreateManaged(dir, m.runConfig(), ivs, m.runOpt())
+	rm, err := createManaged(dir, m.runConfig(), ivs, m.runOpt(), bptree.FillFull)
 	if err != nil {
 		os.RemoveAll(dir)
 		return nil, err

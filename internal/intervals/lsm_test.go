@@ -211,6 +211,7 @@ func TestLSMDurableReopen(t *testing.T) {
 // — and checks the reopened manager equals the acked-set oracle.
 func TestLSMCrashSweep(t *testing.T) {
 	cfg := Config{B: 4, Ingest: &IngestConfig{MemtableSize: 8, MaxRuns: 2, SyncCompaction: true}}
+	const churn = 80
 	// Probe run: count total file writes with no fault injected.
 	workload := func(dir string, budget *disk.WriteBudget) (acked map[uint64]geom.Interval, writes int64, err error) {
 		defer func() {
@@ -236,7 +237,7 @@ func TestLSMCrashSweep(t *testing.T) {
 		for _, iv := range ivs {
 			acked[iv.ID] = iv
 		}
-		for i := 0; i < 60; i++ {
+		for i := 0; i < churn; i++ {
 			if i%4 == 3 {
 				id := uint64(i/4*3 + 1)
 				if _, live := acked[id]; live {
@@ -285,7 +286,7 @@ func TestLSMCrashSweep(t *testing.T) {
 	for i := 1; i <= 20; i++ {
 		everAcked[uint64(i)] = true
 	}
-	for i := 0; i < 60; i++ {
+	for i := 0; i < churn; i++ {
 		if i%4 != 3 {
 			everAcked[uint64(100+i)] = true
 		}

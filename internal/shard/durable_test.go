@@ -3,8 +3,10 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"ccidx/internal/classindex"
@@ -219,6 +221,9 @@ func TestShardedCrashEveryWrite(t *testing.T) {
 	for k := int64(1); k <= total; k += step {
 		k := k
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			// Each crash point owns its directory and workload; nothing
+			// is shared between subtests.
+			t.Parallel()
 			dir := filepath.Join(t.TempDir(), "sharded")
 			var out shardedCrashOutcome
 			runShardedCrashWorkload(t, dir, k, &out)
@@ -265,12 +270,71 @@ func TestShardedCrashEveryWrite(t *testing.T) {
 	}
 }
 
+// openUnder lists the files under dir that the process holds open, read
+// from /proc/self/fd (empty where that is not available).
+func openUnder(dir string) []string {
+	root, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		return nil
+	}
+	ents, _ := os.ReadDir("/proc/self/fd")
+	var open []string
+	for _, e := range ents {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", e.Name()))
+		if err == nil && strings.HasPrefix(target, root+string(filepath.Separator)) {
+			open = append(open, target)
+		}
+	}
+	return open
+}
+
+// TestCreateCrashEveryWrite faults a sharded tree-mode CreateIntervalsAt at
+// every file write of an unfaulted create (every shard's tree build, WAL
+// reset and the initial group checkpoint): each must return an error
+// wrapping ErrInjectedFault, never panic, and leave no descriptor of any
+// shard open. A budget of exactly the unfaulted write count must succeed.
+func TestCreateCrashEveryWrite(t *testing.T) {
+	cfg := Config{Shards: 4, B: 8, Batch: 3, Partition: PartitionRange, Span: 3000, PoolFrames: 64}
+	init := workload.UniformIntervals(31, 100, 3000, 200)
+	create := func(t *testing.T, dir string, budget *disk.WriteBudget) (s *Intervals, err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("CreateIntervalsAt panicked: %v", p)
+			}
+		}()
+		return CreateIntervalsAt(dir, cfg, init, intervals.DurableOptions{Budget: budget})
+	}
+	probe, err := create(t, filepath.Join(t.TempDir(), "probe"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := probe.FileWrites()
+	probe.Close()
+	for k := int64(0); k <= total; k++ {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := create(t, filepath.Join(dir, "sharded"), disk.NewWriteBudget(k))
+			if k == total {
+				if err != nil {
+					t.Fatalf("create within a budget of all %d writes: %v", total, err)
+				}
+				s.Close()
+			} else if !errors.Is(err, disk.ErrInjectedFault) {
+				t.Fatalf("create faulted at write %d returned %v, want ErrInjectedFault", k+1, err)
+			}
+			if open := openUnder(dir); len(open) > 0 {
+				t.Fatalf("create with a budget of %d writes left files open: %v", k, open)
+			}
+		})
+	}
+}
+
 func runShardedCrashWorkload(t *testing.T, dir string, k int64, out *shardedCrashOutcome) int64 {
 	t.Helper()
 	const (
 		span      = int64(3000)
 		n0        = 100
-		ops       = 220
+		ops       = 240
 		ckptEvery = 45
 	)
 	cfg := Config{Shards: 4, B: 8, Batch: 3, Partition: PartitionRange, Span: span, PoolFrames: 64}
